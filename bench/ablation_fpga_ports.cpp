@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
         FpgaMapReport report;
         fpga.map(batch, &report);
         std::printf("%6u %6u %7.0fMHz %8u %16.3f %14.3f\n", sf, port, clock_mhz,
-                    fpga.runtime().kernel().step_initiation_interval(),
+                    fpga.runtime().kernel()->step_initiation_interval(),
                     report.kernel_seconds * 1e3, report.total_seconds() * 1e3);
       }
     }

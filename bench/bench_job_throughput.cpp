@@ -1,20 +1,30 @@
 // Job subsystem benchmark: inline synchronous mapping versus the same
-// batches routed through the JobManager worker pool.
+// batches routed through the JobManager worker pool, per mapping engine.
 //
 // The async path adds a bounded queue, per-job bookkeeping, and cancel
 // checkpoints inside map_records_over. This bench quantifies that overhead
 // at one worker and the scaling headroom at several, which is what `bwaver
 // serve --workers N` trades off. Queue-wait numbers come from the same
 // ServerStats histograms `GET /stats` exposes.
+//
+// `--engine NAME[,NAME...]` (default: every registered engine) picks the
+// engine axis. Each engine is prepared once (PreparedEngine, as a serving
+// replica does per index generation) and every batch maps through it; the
+// JSON report carries `<engine>.*` rows per engine, and the unprefixed keys
+// bench/baseline.json gates are the first engine's (fpga under the default).
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "app/cli.hpp"
 #include "bench_util.hpp"
 #include "fmindex/dna.hpp"
 #include "jobs/job_manager.hpp"
+#include "kernels/registry.hpp"
 #include "mapper/map_service.hpp"
 #include "mapper/pipeline.hpp"
 #include "obs/trace.hpp"
@@ -44,18 +54,36 @@ std::vector<std::vector<FastqRecord>> make_batches(
   return batches;
 }
 
-double run_inline(const Pipeline& pipeline,
+/// The engines named by --engine (comma-separated; default every engine).
+std::vector<MappingEngine> parse_engines(int argc, char** argv) {
+  const std::string list = ArgParser(argc, argv).get("engine");
+  std::vector<MappingEngine> engines;
+  if (list.empty()) {
+    for (const auto& spec : kernels::engines()) engines.push_back(spec.engine);
+    return engines;
+  }
+  std::istringstream names(list);
+  for (std::string name; std::getline(names, name, ',');) {
+    const auto engine = kernels::parse_engine_name(name);
+    if (!engine) throw std::invalid_argument("unknown engine '" + name + "'");
+    engines.push_back(*engine);
+  }
+  return engines;
+}
+
+double run_inline(const PreparedEngine& engine, const ReferenceSet& reference,
+                  const PipelineConfig& config,
                   const std::vector<std::vector<FastqRecord>>& batches) {
   WallTimer timer;
   for (const auto& batch : batches) {
-    const auto outcome = map_records_over(pipeline.index(), pipeline.reference(),
-                                          PipelineConfig{}, batch);
+    const auto outcome = map_records_over(engine, reference, config, batch);
     (void)outcome;
   }
   return timer.milliseconds();
 }
 
-double run_pooled(const Pipeline& pipeline,
+double run_pooled(const PreparedEngine& engine, const ReferenceSet& reference,
+                  const PipelineConfig& map_config,
                   const std::vector<std::vector<FastqRecord>>& batches,
                   std::size_t workers, double* mean_queue_wait_ms,
                   bool tracing = false, MappingStageTimings* stages_out = nullptr,
@@ -79,11 +107,10 @@ double run_pooled(const Pipeline& pipeline,
     for (const auto& batch : batches) {
       ids.push_back(manager.submit(
           "bench",
-          [&pipeline, &batch, &stages_mutex, &stages](const CancelToken& cancel) {
-            const auto outcome = map_records_over(pipeline.index(),
-                                                  pipeline.reference(),
-                                                  PipelineConfig{}, batch, nullptr,
-                                                  nullptr, &cancel);
+          [&engine, &reference, &map_config, &batch, &stages_mutex,
+           &stages](const CancelToken& cancel) {
+            const auto outcome =
+                map_records_over(engine, reference, map_config, batch, nullptr, &cancel);
             {
               std::lock_guard<std::mutex> lock(stages_mutex);
               stages += outcome.stages;
@@ -115,48 +142,74 @@ int main(int argc, char** argv) {
   std::size_t total_reads = 0;
   for (const auto& batch : batches) total_reads += batch.size();
 
-  std::printf("%zu reads in %zu batches over a %zu bp reference\n\n", total_reads,
+  std::printf("%zu reads in %zu batches over a %zu bp reference\n", total_reads,
               batches.size(), genome.size());
-  std::printf("%-14s %12s %12s %10s %14s\n", "path", "wall [ms]", "reads/s",
-              "speedup", "queue wait[ms]");
 
   JsonReport report("bench_job_throughput", setup.json);
-  const double inline_ms = run_inline(pipeline, batches);
-  const double inline_rps = 1000.0 * static_cast<double>(total_reads) / inline_ms;
-  std::printf("%-14s %12.1f %12.0f %9.2fx %14s\n", "inline", inline_ms, inline_rps,
-              1.0, "-");
-  report.metric("inline_reads_per_sec", inline_rps);
+  const std::vector<MappingEngine> engines = parse_engines(argc, argv);
+  // The trace-overhead guard below runs on the first engine.
+  std::unique_ptr<PreparedEngine> first;
+  PipelineConfig first_config;
+  for (const MappingEngine engine : engines) {
+    PipelineConfig config;
+    config.engine = engine;
+    auto prepared = std::make_unique<PreparedEngine>(pipeline.index(), nullptr, config);
+    const std::string name = kernels::engine_spec(engine).name;
+    const bool primary = first == nullptr;
+    // Unprefixed keys (the ones bench/baseline.json gates) come from the
+    // first engine; every engine also reports its own `<engine>.` rows.
+    const auto metric = [&](const std::string& key, double value) {
+      if (primary) report.metric(key, value);
+      report.metric(name + "." + key, value);
+    };
+    std::printf("\n[%s] prepared once in %.1f ms\n", name.c_str(),
+                prepared->prepare_seconds() * 1e3);
+    metric("prepare_ms", prepared->prepare_seconds() * 1e3);
+    std::printf("%-14s %12s %12s %10s %14s\n", "path", "wall [ms]", "reads/s",
+                "speedup", "queue wait[ms]");
 
-  MappingStageTimings stages_w1;
-  double queue_wait_w1 = 0.0;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                    std::size_t{8}}) {
-    double mean_wait_ms = 0.0;
-    MappingStageTimings stages;
-    const double pooled_ms =
-        run_pooled(pipeline, batches, workers, &mean_wait_ms, false, &stages);
-    if (workers == 1) {
-      stages_w1 = stages;
-      queue_wait_w1 = mean_wait_ms;
+    const double inline_ms = run_inline(*prepared, pipeline.reference(), config, batches);
+    const double inline_rps = 1000.0 * static_cast<double>(total_reads) / inline_ms;
+    std::printf("%-14s %12.1f %12.0f %9.2fx %14s\n", "inline", inline_ms, inline_rps,
+                1.0, "-");
+    metric("inline_reads_per_sec", inline_rps);
+
+    MappingStageTimings stages_w1;
+    double queue_wait_w1 = 0.0;
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                      std::size_t{8}}) {
+      double mean_wait_ms = 0.0;
+      MappingStageTimings stages;
+      const double pooled_ms = run_pooled(*prepared, pipeline.reference(), config, batches,
+                                          workers, &mean_wait_ms, false, &stages);
+      if (workers == 1) {
+        stages_w1 = stages;
+        queue_wait_w1 = mean_wait_ms;
+      }
+      const double pooled_rps = 1000.0 * static_cast<double>(total_reads) / pooled_ms;
+      std::printf("%-7s w=%-4zu %12.1f %12.0f %9.2fx %14.1f\n", "pooled", workers,
+                  pooled_ms, pooled_rps,
+                  inline_ms / (pooled_ms > 0.0 ? pooled_ms : 1.0), mean_wait_ms);
+      metric("pooled_w" + std::to_string(workers) + "_reads_per_sec", pooled_rps);
     }
-    const double pooled_rps = 1000.0 * static_cast<double>(total_reads) / pooled_ms;
-    std::printf("%-7s w=%-4zu %12.1f %12.0f %9.2fx %14.1f\n", "pooled", workers,
-                pooled_ms, pooled_rps,
-                inline_ms / (pooled_ms > 0.0 ? pooled_ms : 1.0), mean_wait_ms);
-    report.metric("pooled_w" + std::to_string(workers) + "_reads_per_sec", pooled_rps);
-  }
 
-  // Per-stage split of the w=1 run — the decomposition docs/observability.md
-  // catalogs as bwaver_map_stage_seconds.
-  std::printf("\nw=1 stage split: seed %.1f ms, search %.1f ms, locate %.1f ms, "
-              "sam %.1f ms, mean queue wait %.1f ms\n",
-              stages_w1.seed_ms, stages_w1.search_ms, stages_w1.locate_ms,
-              stages_w1.sam_ms, queue_wait_w1);
-  report.metric("seed_ms", stages_w1.seed_ms);
-  report.metric("search_ms", stages_w1.search_ms);
-  report.metric("locate_ms", stages_w1.locate_ms);
-  report.metric("sam_ms", stages_w1.sam_ms);
-  report.metric("queue_wait_ms", queue_wait_w1);
+    // Per-stage split of the w=1 run — the decomposition
+    // docs/observability.md catalogs as bwaver_map_stage_seconds (search is
+    // modeled device time for fpga).
+    std::printf("w=1 stage split: seed %.1f ms, search %.1f ms, locate %.1f ms, "
+                "sam %.1f ms, mean queue wait %.1f ms\n",
+                stages_w1.seed_ms, stages_w1.search_ms, stages_w1.locate_ms,
+                stages_w1.sam_ms, queue_wait_w1);
+    metric("seed_ms", stages_w1.seed_ms);
+    metric("search_ms", stages_w1.search_ms);
+    metric("locate_ms", stages_w1.locate_ms);
+    metric("sam_ms", stages_w1.sam_ms);
+    metric("queue_wait_ms", queue_wait_w1);
+    if (primary) {
+      first = std::move(prepared);
+      first_config = config;
+    }
+  }
 
   // Trace overhead guard: the same w=1 workload with trace spans recording
   // versus no-op (tracing off). Ambient load only ever ADDS wall time, so
@@ -167,22 +220,21 @@ int main(int argc, char** argv) {
   // the result at 2% (trace_overhead_pct_max). Trials are stretched to
   // ~150 ms at small --scale so scheduler jitter at the floor stays well
   // under the bound; the probe run doubles as warmup.
-  double probe_wait = 0.0;
-  const double probe_ms = run_pooled(pipeline, batches, 1, &probe_wait, false);
+  const auto pooled = [&](bool tracing, int repeats) {
+    double wait = 0.0;
+    return run_pooled(*first, pipeline.reference(), first_config, batches, 1, &wait,
+                      tracing, nullptr, repeats);
+  };
+  const double probe_ms = pooled(false, 1);
   const int repeats = std::max(1, static_cast<int>(150.0 / std::max(probe_ms, 1.0)));
   double off_ms = 1e300, on_ms = 1e300;
   for (int i = 0; i < 24; ++i) {
-    double wait = 0.0;
     if (i % 2 == 0) {
-      off_ms = std::min(off_ms,
-                        run_pooled(pipeline, batches, 1, &wait, false, nullptr, repeats));
-      on_ms = std::min(on_ms,
-                       run_pooled(pipeline, batches, 1, &wait, true, nullptr, repeats));
+      off_ms = std::min(off_ms, pooled(false, repeats));
+      on_ms = std::min(on_ms, pooled(true, repeats));
     } else {
-      on_ms = std::min(on_ms,
-                       run_pooled(pipeline, batches, 1, &wait, true, nullptr, repeats));
-      off_ms = std::min(off_ms,
-                        run_pooled(pipeline, batches, 1, &wait, false, nullptr, repeats));
+      on_ms = std::min(on_ms, pooled(true, repeats));
+      off_ms = std::min(off_ms, pooled(false, repeats));
     }
   }
   const double overhead_pct = off_ms > 0.0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0;

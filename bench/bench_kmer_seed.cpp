@@ -122,7 +122,8 @@ int main(int argc, char** argv) {
   PipelineConfig map_config;
   map_config.engine = MappingEngine::kCpu;
   const MappingOutcome outcome =
-      map_records_over(index, reference, map_config, reads_to_fastq(reads));
+      map_records_over(PreparedEngine(index, nullptr, map_config), reference, map_config,
+                       reads_to_fastq(reads));
   std::printf("seeded full-map stage split: seed %.1f ms, search %.1f ms, "
               "locate %.1f ms, sam %.1f ms\n",
               outcome.stages.seed_ms, outcome.stages.search_ms,

@@ -69,8 +69,7 @@ JobManager::JobFn make_map_job(IndexRegistry& registry, PipelineConfig config,
           records = std::move(records)](const CancelToken& cancel) {
     const IndexRegistry::Handle handle = registry.acquire(ref);
     const MappingOutcome outcome =
-        map_records_over(handle->index, handle->reference, config, *records,
-                         /*bowtie=*/nullptr, /*mapping_seconds=*/nullptr, &cancel);
+        map_records_over(*handle, config, *records, /*mapping_seconds=*/nullptr, &cancel);
     stats.reads_mapped.inc(outcome.reads);
     stats.map_shards.inc(outcome.shards);
     return outcome.sam;

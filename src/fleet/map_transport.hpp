@@ -65,8 +65,9 @@ class MapTransport {
 /// Builds the mapping-job closure shared by every in-process submitter
 /// (WebService's /map and /jobs handlers, InProcessTransport): acquire the
 /// registry handle at *run* time (an index evicted between submit and
-/// pickup is transparently reloaded), map with cooperative cancellation,
-/// account reads/shards into `stats`.
+/// pickup is transparently reloaded), map with the handle's prepared engine
+/// (prepared by the first request per generation and engine) and
+/// cooperative cancellation, account reads/shards into `stats`.
 JobManager::JobFn make_map_job(IndexRegistry& registry, PipelineConfig config,
                                ServerStats& stats, std::string ref,
                                std::shared_ptr<const std::vector<FastqRecord>> records);

@@ -24,7 +24,7 @@ std::uint64_t FpgaRuntime::transfer_ns(std::size_t bytes) const noexcept {
 }
 
 EventPtr FpgaRuntime::program(const FmIndex<RrrWaveletOcc>& index) {
-  kernel_ = std::make_unique<HlsMapperKernel>(spec_, index);
+  kernel_ = std::make_shared<const HlsMapperKernel>(spec_, index);
   kernel_stats_ = KernelStats{};
   const std::uint64_t bitstream = static_cast<std::uint64_t>(
       std::llround(spec_.bitstream_program_seconds * 1e9));

@@ -44,6 +44,11 @@ class FpgaRuntime {
  public:
   explicit FpgaRuntime(DeviceSpec spec = DeviceSpec{}) : spec_(spec) {}
 
+  /// A runtime over an already-programmed kernel, shared read-only with
+  /// other runtimes: no program event is recorded, the load was paid once.
+  explicit FpgaRuntime(std::shared_ptr<const HlsMapperKernel> kernel)
+      : spec_(kernel->spec()), kernel_(std::move(kernel)) {}
+
   /// Loads the succinct structure onto the device (bitstream + data load in
   /// the real flow). Must be called before enqueue_kernel.
   EventPtr program(const FmIndex<RrrWaveletOcc>& index);
@@ -63,7 +68,7 @@ class FpgaRuntime {
   void finish() const noexcept {}
 
   bool programmed() const noexcept { return kernel_ != nullptr; }
-  const HlsMapperKernel& kernel() const { return *kernel_; }
+  const std::shared_ptr<const HlsMapperKernel>& kernel() const noexcept { return kernel_; }
   const DeviceSpec& spec() const noexcept { return spec_; }
 
   /// Current end of the modeled device timeline.
@@ -80,7 +85,7 @@ class FpgaRuntime {
   std::uint64_t transfer_ns(std::size_t bytes) const noexcept;
 
   DeviceSpec spec_;
-  std::unique_ptr<HlsMapperKernel> kernel_;
+  std::shared_ptr<const HlsMapperKernel> kernel_;
   std::uint64_t timeline_ns_ = 0;
   KernelStats kernel_stats_;
   std::vector<EventPtr> events_;

@@ -27,6 +27,9 @@ enum class MappingEngine {
   kVector,        ///< software search, VectorOcc + SIMD kernels ("vector")
   kEpr,           ///< software search, EprOcc constant-time rank ("epr")
 };
+/// Number of MappingEngine values (kEpr stays last).
+inline constexpr std::size_t kMappingEngineCount =
+    static_cast<std::size_t>(MappingEngine::kEpr) + 1;
 
 namespace kernels {
 

@@ -20,6 +20,18 @@ BwaverFpgaMapper::BwaverFpgaMapper(const FmIndex<RrrWaveletOcc>& index, DeviceSp
   program_seconds_ = static_cast<double>(event->duration_ns()) * 1e-9;
 }
 
+BwaverFpgaMapper::BwaverFpgaMapper(std::shared_ptr<const HlsMapperKernel> kernel,
+                                   const FmIndex<RrrWaveletOcc>& index,
+                                   std::size_t batch_packets, std::size_t host_verify_stride)
+    : index_(&index),
+      runtime_(std::move(kernel)),
+      batch_packets_(batch_packets),
+      host_verify_stride_(host_verify_stride) {
+  if (batch_packets_ == 0) {
+    throw std::invalid_argument("BwaverFpgaMapper: batch_packets must be >= 1");
+  }
+}
+
 std::vector<QueryResult> BwaverFpgaMapper::map(const ReadBatch& batch,
                                                FpgaMapReport* report) {
   std::vector<QueryResult> results;

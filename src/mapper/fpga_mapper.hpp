@@ -49,6 +49,13 @@ class BwaverFpgaMapper {
                    std::size_t batch_packets = 8192,
                    std::size_t host_verify_stride = 0);
 
+  /// Drives a kernel already programmed with `index` (shared read-only, see
+  /// PreparedEngine): nothing is programmed here, so reports carry
+  /// program_seconds = 0.
+  BwaverFpgaMapper(std::shared_ptr<const HlsMapperKernel> kernel,
+                   const FmIndex<RrrWaveletOcc>& index, std::size_t batch_packets = 8192,
+                   std::size_t host_verify_stride = 0);
+
   /// Maps all reads; results are indexed by read (QueryResult::id).
   std::vector<QueryResult> map(const ReadBatch& batch, FpgaMapReport* report = nullptr);
 

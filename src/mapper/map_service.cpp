@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "mapper/fpga_mapper.hpp"
 #include "mapper/pipeline.hpp"
@@ -109,9 +110,8 @@ void publish_stages(const obs::ObsContext& ctx, std::uint32_t parent,
     const std::uint32_t search = ctx.trace->emit("search", parent, -1.0, stages.search_ms);
     if (fpga != nullptr) {
       // Modeled device phases nested under the search span — the split the
-      // paper's OpenCL event profiling reports (program = structure load,
-      // transfer = buffer movement).
-      ctx.trace->emit("fpga:program", search, -1.0, fpga->program_seconds * 1e3);
+      // paper's OpenCL event profiling reports (transfer = buffer movement;
+      // the one-time structure load, fpga:program, sits under "prepare").
       ctx.trace->emit("fpga:transfer", search, -1.0, fpga->transfer_seconds * 1e3);
       ctx.trace->emit("fpga:kernel", search, -1.0, fpga->kernel_seconds * 1e3);
     }
@@ -177,100 +177,104 @@ void resolve_query_results(const ReferenceSet& reference,
   }
 }
 
-MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
-                                const ReferenceSet& reference,
-                                const PipelineConfig& config,
-                                const std::vector<FastqRecord>& records,
-                                const Bowtie2LikeMapper* bowtie,
-                                double* mapping_seconds,
-                                const CancelToken* cancel, const EprOcc* epr) {
-  if (cancel != nullptr) cancel->throw_if_stopped();
-
-  // Ambient observability: a no-op unless a job/CLI run installed a context.
-  // The map span parents the per-stage spans; the context is snapshotted
-  // here so shard workers can re-install it on their own threads.
-  obs::TraceSpan map_span("map_records");
-  const obs::ObsContext obs_ctx = obs::current_context();
-
-  // Engines are constructed once (the FPGA model is programmed once, a
-  // derived engine's Occ structure is re-encoded once) and fed chunk by
-  // chunk: with no cancel token everything goes in one chunk, exactly the
-  // pre-async behaviour; with a token each chunk boundary is a checkpoint.
-  // Every software engine funnels through one `software_map` callable so
-  // the sharded and chunked paths below stay engine-agnostic.
-  std::unique_ptr<BwaverFpgaMapper> fpga;
-  std::unique_ptr<BwaverCpuMapper> cpu;
-  std::unique_ptr<Bowtie2LikeMapper> transient;
-  std::unique_ptr<PlainWaveletMapper> plain;
-  std::unique_ptr<VectorMapper> vector;
-  std::unique_ptr<EprMapper> epr_mapper;
-  std::function<std::vector<QueryResult>(const ReadBatch&, unsigned,
-                                         SoftwareMapReport*)>
-      software_map;
-  const SearchMode mode = config.search_mode;
-  switch (config.engine) {
-    case MappingEngine::kFpga:
-      fpga = std::make_unique<BwaverFpgaMapper>(index, config.device, 8192,
-                                                config.fpga_verify_stride);
+PreparedEngine::PreparedEngine(const FmIndex<RrrWaveletOcc>& index, const EprOcc* epr,
+                               const PipelineConfig& config)
+    : engine_(config.engine), index_(&index) {
+  WallTimer timer;
+  // The other software engines search an Occ derived from the archive's BWT;
+  // the mapper is shared by every request, so its search is const.
+  const auto derive = [this, &index](auto builder) {
+    using Occ = decltype(builder(std::span<const std::uint8_t>{}));
+    auto mapper = std::make_shared<const DerivedOccMapper<Occ>>(index, builder);
+    bytes_ = mapper->index().occ_size_in_bytes();
+    search_ = [mapper](const ReadBatch& batch, unsigned threads, SoftwareMapReport* report,
+                       SearchMode mode) { return mapper->map(batch, threads, report, mode); };
+  };
+  switch (engine_) {
+    case MappingEngine::kFpga: {
+      FpgaRuntime runtime(config.device);
+      program_seconds_ = static_cast<double>(runtime.program(index)->duration_ns()) * 1e-9;
+      kernel_ = runtime.kernel();
       break;
+    }
     case MappingEngine::kCpu:
-      cpu = std::make_unique<BwaverCpuMapper>(index);
-      software_map = [&cpu, mode](const ReadBatch& batch, unsigned threads,
-                                  SoftwareMapReport* report) {
-        return cpu->map(batch, threads, report, mode);
+      search_ = [base = &index](const ReadBatch& batch, unsigned threads,
+                                SoftwareMapReport* report, SearchMode mode) {
+        return detail::map_batch_mode(*base, batch, threads, report, mode);
       };
       break;
     case MappingEngine::kBowtie2Like:
-      if (bowtie == nullptr) {
-        transient = std::make_unique<Bowtie2LikeMapper>(reference.concatenated());
-        bowtie = transient.get();
-      }
-      software_map = [bowtie, mode](const ReadBatch& batch, unsigned threads,
-                                    SoftwareMapReport* report) {
-        return bowtie->map(batch, threads, report, mode);
-      };
+      derive([](std::span<const std::uint8_t> bwt) { return SampledOcc(bwt, 4); });
       break;
     case MappingEngine::kPlainWavelet:
-      plain = std::make_unique<PlainWaveletMapper>(
-          index, [](std::span<const std::uint8_t> bwt) {
-            return PlainWaveletOcc(bwt);
-          });
-      software_map = [&plain, mode](const ReadBatch& batch, unsigned threads,
-                                    SoftwareMapReport* report) {
-        return plain->map(batch, threads, report, mode);
-      };
+      derive([](std::span<const std::uint8_t> bwt) { return PlainWaveletOcc(bwt); });
       break;
     case MappingEngine::kVector:
-      vector = std::make_unique<VectorMapper>(
-          index,
-          [](std::span<const std::uint8_t> bwt) { return VectorOcc(bwt); });
-      software_map = [&vector, mode](const ReadBatch& batch, unsigned threads,
-                                     SoftwareMapReport* report) {
-        return vector->map(batch, threads, report, mode);
-      };
+      derive([](std::span<const std::uint8_t> bwt) { return VectorOcc(bwt); });
       break;
     case MappingEngine::kEpr:
-      // Alias the archive-loaded dictionary when the caller supplied one of
-      // the right size; otherwise transpose the BWT transiently.
-      epr_mapper = std::make_unique<EprMapper>(
-          index, [epr, &index](std::span<const std::uint8_t> bwt) {
-            if (epr != nullptr && epr->size() == index.bwt().symbols.size()) {
-              return EprOcc::view_of(*epr);
-            }
-            return EprOcc(bwt);
-          });
-      software_map = [&epr_mapper, mode](const ReadBatch& batch, unsigned threads,
-                                         SoftwareMapReport* report) {
-        return epr_mapper->map(batch, threads, report, mode);
-      };
+      if (epr != nullptr && epr->size() == index.bwt().symbols.size()) {
+        derive([epr](std::span<const std::uint8_t>) { return EprOcc::view_of(*epr); });
+        bytes_ = 0;  // aliases the archive section
+      } else {
+        derive([](std::span<const std::uint8_t> bwt) { return EprOcc(bwt); });
+      }
       break;
   }
-  const char* engine_name = kernels::engine_spec(config.engine).name;
+  prepare_seconds_ = timer.seconds();
+}
+
+std::shared_ptr<const PreparedEngine> prepared_engine(const StoredIndex& stored,
+                                                      const PipelineConfig& config) {
+  return stored.engines->get_or_prepare(config.engine, [&] {
+    auto engine = std::make_shared<const PreparedEngine>(stored.index, stored.epr.get(), config);
+    const obs::ObsContext& ctx = obs::current_context();
+    obs::MetricsRegistry& metrics =
+        ctx.metrics != nullptr ? *ctx.metrics : obs::default_registry();
+    const obs::Labels labels{{"engine", kernels::engine_spec(config.engine).name}};
+    metrics
+        .counter("bwaver_engine_prepare_total",
+                 "Engine preparations (one per index generation and engine)", labels)
+        .inc(1);
+    metrics
+        .histogram("bwaver_engine_prepare_seconds", "Wall time of engine preparations",
+                   stage_time_bounds(), labels)
+        .observe(engine->prepare_seconds());
+    if (ctx.trace != nullptr && engine->kernel() != nullptr) {
+      ctx.trace->emit("fpga:program", ctx.parent_span, -1.0, engine->program_seconds() * 1e3);
+    }
+    return std::pair{EngineCache::Engine(engine), engine->bytes()};
+  });
+}
+
+namespace {
+
+/// map_records_over's body, run inside the caller's "map_records" span.
+MappingOutcome map_prepared(const PreparedEngine& engine, const ReferenceSet& reference,
+                            const PipelineConfig& config,
+                            const std::vector<FastqRecord>& records, double* mapping_seconds,
+                            const CancelToken* cancel) {
+  if (cancel != nullptr) cancel->throw_if_stopped();
+
+  // Ambient observability: a no-op unless a job/CLI run installed a context.
+  // The open map span parents the per-stage spans; the context is
+  // snapshotted here so shard workers can re-install it on their own threads.
+  const obs::ObsContext obs_ctx = obs::current_context();
+
+  // The engine is prepared; per call only the FPGA gets a fresh host driver
+  // (its runtime records events, so concurrent requests cannot share one).
+  // With no cancel token everything goes in one chunk; with a token each
+  // chunk boundary is a checkpoint.
+  const FmIndex<RrrWaveletOcc>& index = engine.index();
+  const bool device = engine.engine() == MappingEngine::kFpga;
+  std::optional<BwaverFpgaMapper> fpga;
+  if (device) fpga.emplace(engine.kernel(), index, 8192, config.fpga_verify_stride);
+  const PreparedEngine::Search& search = engine.search();
+  const SearchMode mode = config.search_mode;
+  const char* engine_name = kernels::engine_spec(engine.engine()).name;
   // The FPGA kernel already streams query packets — the scheduling flag is
   // a documented no-op there, and its series stay labeled per-read.
-  const char* mode_name = config.engine == MappingEngine::kFpga
-                              ? search_mode_name(SearchMode::kPerRead)
-                              : search_mode_name(mode);
+  const char* mode_name = search_mode_name(device ? SearchMode::kPerRead : mode);
 
   MappingOutcome outcome;
   std::vector<SamAlignment> alignments;
@@ -285,8 +289,7 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
   // every counter are byte-identical to the sequential path regardless of
   // completion order. The FPGA model stays sequential: its modeled runtime
   // mutates device state per batch.
-  const bool sharded = config.engine != MappingEngine::kFpga && config.threads > 1 &&
-                       records.size() > 1;
+  const bool sharded = !device && config.threads > 1 && records.size() > 1;
   if (sharded) {
     const std::size_t shard_size = effective_shard_size(
         records.size(), config.threads, config.shard_size, cancel != nullptr);
@@ -318,7 +321,7 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
         shards[s].outcome.stages.seed_ms = stage_timer.milliseconds();
         stage_timer.reset();
         SoftwareMapReport report;
-        std::vector<QueryResult> results = software_map(batch, 1, &report);
+        std::vector<QueryResult> results = search(batch, 1, &report, mode);
         shards[s].outcome.stages.search_ms = stage_timer.milliseconds();
         shards[s].outcome.sweep = report.sweep;
         stage_timer.reset();
@@ -346,7 +349,7 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
     WallTimer sam_timer;
     outcome.sam = format_sam(sam_sequences_for(reference), alignments);
     outcome.stages.sam_ms = sam_timer.milliseconds();
-    publish_stages(obs_ctx, map_span.id(), outcome.stages, engine_name, mode_name,
+    publish_stages(obs_ctx, obs_ctx.parent_span, outcome.stages, engine_name, mode_name,
                    outcome.sweep, nullptr);
     return outcome;
   }
@@ -366,18 +369,17 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
     stage_timer.reset();
 
     std::vector<QueryResult> results;
-    if (config.engine == MappingEngine::kFpga) {
+    if (device) {
       FpgaMapReport report;
       results = fpga->map(batch, &report);
       seconds += report.total_seconds();
       // The FPGA search stage is modeled device time, not host wall time.
       outcome.stages.search_ms += report.total_seconds() * 1e3;
-      fpga_total.program_seconds += report.program_seconds;
       fpga_total.transfer_seconds += report.transfer_seconds;
       fpga_total.kernel_seconds += report.kernel_seconds;
     } else {
       SoftwareMapReport report;
-      results = software_map(batch, config.threads, &report);
+      results = search(batch, config.threads, &report, mode);
       seconds += report.seconds;
       outcome.stages.search_ms += stage_timer.milliseconds();
       outcome.sweep += report.sweep;
@@ -392,10 +394,31 @@ MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
   WallTimer sam_timer;
   outcome.sam = format_sam(sam_sequences_for(reference), alignments);
   outcome.stages.sam_ms = sam_timer.milliseconds();
-  publish_stages(obs_ctx, map_span.id(), outcome.stages, engine_name, mode_name,
-                 outcome.sweep,
-                 config.engine == MappingEngine::kFpga ? &fpga_total : nullptr);
+  publish_stages(obs_ctx, obs_ctx.parent_span, outcome.stages, engine_name, mode_name,
+                 outcome.sweep, device ? &fpga_total : nullptr);
   return outcome;
+}
+
+}  // namespace
+
+MappingOutcome map_records_over(const PreparedEngine& engine, const ReferenceSet& reference,
+                                const PipelineConfig& config,
+                                const std::vector<FastqRecord>& records,
+                                double* mapping_seconds, const CancelToken* cancel) {
+  obs::TraceSpan map_span("map_records");
+  return map_prepared(engine, reference, config, records, mapping_seconds, cancel);
+}
+
+MappingOutcome map_records_over(const StoredIndex& stored, const PipelineConfig& config,
+                                const std::vector<FastqRecord>& records,
+                                double* mapping_seconds, const CancelToken* cancel) {
+  obs::TraceSpan map_span("map_records");
+  std::shared_ptr<const PreparedEngine> engine;
+  {
+    obs::TraceSpan prepare_span("prepare");
+    engine = prepared_engine(stored, config);
+  }
+  return map_prepared(*engine, stored.reference, config, records, mapping_seconds, cancel);
 }
 
 }  // namespace bwaver

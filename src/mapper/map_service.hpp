@@ -1,12 +1,16 @@
-// Engine dispatch + result resolution over *borrowed* index state.
+// Engine preparation, dispatch and result resolution over *borrowed* index
+// state.
 //
 // Pipeline owns its index and maps against it; the multi-tenant web service
 // instead borrows refcounted read handles from the IndexRegistry and must
 // run many mapping requests concurrently against shared, immutable indexes.
-// Both paths funnel through these free functions so their SAM output is
-// byte-identical by construction.
+// Both paths take their engine from one PreparedEngine factory, cached per
+// loaded index, and map through the same free functions, so their SAM output
+// is byte-identical by construction.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,12 +22,14 @@
 #include "io/fastq.hpp"
 #include "io/sam.hpp"
 #include "mapper/software_mapper.hpp"
+#include "store/index_archive.hpp"
 #include "util/cancellation.hpp"
 
 namespace bwaver {
 
 struct PipelineConfig;
 struct MappingOutcome;
+class HlsMapperKernel;
 
 /// @SQ header lines for `reference`, in sequence order.
 std::vector<SamSequence> sam_sequences_for(const ReferenceSet& reference);
@@ -39,29 +45,80 @@ void resolve_query_results(const ReferenceSet& reference,
                            std::vector<SamAlignment>& alignments,
                            const CancelToken* cancel = nullptr);
 
-/// Maps `records` against a borrowed index/reference pair with the engine
-/// selected in `config` and renders the SAM document. `bowtie` supplies a
-/// prebuilt baseline mapper for MappingEngine::kBowtie2Like; when null one
-/// is built transiently from the reference (expensive — callers holding an
-/// index long-term should cache it). If `mapping_seconds` is non-null it
-/// receives the engine's wall-clock (software) or modeled (FPGA) time.
+/// One mapping engine prepared over a loaded index: the single factory every
+/// mapping path (CLI Pipeline, job/replica serving, tests, benches) takes an
+/// engine from. What an engine needs beyond the archive is built here once
+/// and then shared read-only by any number of concurrent requests:
+///   rrr     — nothing; searches the archive's RRR wavelet tree;
+///   epr     — aliases the archive's "epr" section zero-copy, or transposes
+///             the BWT once when `epr` is null;
+///   sampled, plain, vector — encode their Occ once over the archive's BWT,
+///             borrowing its suffix array and seed table (DerivedOccMapper);
+///             sampled keeps 4-word checkpoints;
+///   fpga    — builds (programs) the HlsMapperKernel once; every map call
+///             drives it through its own FpgaRuntime.
+/// `index` and `epr` must outlive the engine.
+class PreparedEngine {
+ public:
+  using Search = std::function<std::vector<QueryResult>(const ReadBatch&, unsigned,
+                                                        SoftwareMapReport*, SearchMode)>;
+
+  /// Prepares `config.engine`; the FPGA model is programmed for config.device.
+  PreparedEngine(const FmIndex<RrrWaveletOcc>& index, const EprOcc* epr,
+                 const PipelineConfig& config);
+
+  MappingEngine engine() const noexcept { return engine_; }
+  const FmIndex<RrrWaveletOcc>& index() const noexcept { return *index_; }
+  /// Heap bytes the preparation allocated (0 for rrr and an aliased epr).
+  std::size_t bytes() const noexcept { return bytes_; }
+  /// Wall time the preparation took.
+  double prepare_seconds() const noexcept { return prepare_seconds_; }
+  /// Modeled one-time device program time (fpga only, else 0).
+  double program_seconds() const noexcept { return program_seconds_; }
+  /// The programmed kernel (fpga only, else null).
+  const std::shared_ptr<const HlsMapperKernel>& kernel() const noexcept { return kernel_; }
+  /// Backward search of one batch (software engines only).
+  const Search& search() const noexcept { return search_; }
+
+ private:
+  MappingEngine engine_;
+  const FmIndex<RrrWaveletOcc>* index_;
+  std::size_t bytes_ = 0;
+  double prepare_seconds_ = 0.0;
+  double program_seconds_ = 0.0;
+  std::shared_ptr<const HlsMapperKernel> kernel_;
+  Search search_;
+};
+
+/// `config.engine` prepared over `stored`, taken from the index's
+/// EngineCache: prepared on the first call per (generation, engine), with
+/// that call's config (e.g. device), and shared afterwards. Each preparation
+/// counts in the ambient (or default) metrics registry as
+/// bwaver_engine_prepare_total/_seconds{engine}.
+std::shared_ptr<const PreparedEngine> prepared_engine(const StoredIndex& stored,
+                                                      const PipelineConfig& config);
+
+/// Maps `records` with a prepared engine against `reference` and renders the
+/// SAM document. `config` supplies the per-request knobs (threads, shard
+/// size, search mode, hit cap, FPGA verify stride); the engine is
+/// `engine.engine()`. If `mapping_seconds` is non-null it receives the
+/// engine's wall-clock (software) or modeled (FPGA) time.
 ///
 /// A non-null `cancel` token is polled at cooperative checkpoints (before
 /// each engine sub-batch and per chunk of result resolution); once it
 /// reports a stop the call unwinds with OperationCancelled. The job
 /// subsystem uses this for DELETE /jobs/{id} and deadline enforcement.
-///
-/// `epr` optionally supplies a prebuilt EPR dictionary for
-/// MappingEngine::kEpr (the format-v4 archive section, zero-copy aliased);
-/// when null (or sized for a different BWT) the engine re-transposes the
-/// index's BWT transiently.
-MappingOutcome map_records_over(const FmIndex<RrrWaveletOcc>& index,
-                                const ReferenceSet& reference,
+MappingOutcome map_records_over(const PreparedEngine& engine, const ReferenceSet& reference,
                                 const PipelineConfig& config,
                                 const std::vector<FastqRecord>& records,
-                                const Bowtie2LikeMapper* bowtie = nullptr,
                                 double* mapping_seconds = nullptr,
-                                const CancelToken* cancel = nullptr,
-                                const EprOcc* epr = nullptr);
+                                const CancelToken* cancel = nullptr);
+
+/// Same over a loaded index, taking `config.engine` from prepared_engine()
+/// under a "prepare" span — the path of every registry handle and Pipeline.
+MappingOutcome map_records_over(const StoredIndex& stored, const PipelineConfig& config,
+                                const std::vector<FastqRecord>& records,
+                                double* mapping_seconds = nullptr,
+                                const CancelToken* cancel = nullptr);
 
 }  // namespace bwaver

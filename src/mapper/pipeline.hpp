@@ -80,7 +80,7 @@ struct BuildArchiveResult {
 struct PipelineTimings {
   double bwt_sa_seconds = 0.0;
   double encode_seconds = 0.0;
-  double mapping_seconds = 0.0;  ///< wall-clock (software) or modeled (FPGA)
+  double mapping_seconds = 0.0;  ///< wall (software) or modeled transfer + kernel (FPGA)
 };
 
 /// Per-stage decomposition of one mapping run (milliseconds). seed covers
@@ -169,28 +169,18 @@ class Pipeline {
   MappingOutcome map_reads(const std::string& fastq_path,
                            const std::string& sam_path = "");
 
-  /// Step 3 over in-memory records.
+  /// Step 3 over in-memory records. The engine is prepared on the first
+  /// call (see PreparedEngine) and reused by later ones.
   MappingOutcome map_records(const std::vector<FastqRecord>& records);
 
-  /// Step 3, streaming: reads the FASTQ(.gz) in batches of `batch_records`
-  /// (constant memory in the read count — required for the paper's 100 M
-  /// read workloads), maps each batch on a single engine instance (the
-  /// FPGA model is programmed once, so the fixed overhead is paid once),
-  /// and appends SAM incrementally to `sam_path`.
-  MappingOutcome map_reads_streaming(const std::string& fastq_path,
-                                     const std::string& sam_path,
-                                     std::size_t batch_records = 100'000);
-
-  bool ready() const noexcept { return index_ != nullptr; }
+  bool ready() const noexcept { return stored_ != nullptr; }
   const PipelineTimings& timings() const noexcept { return timings_; }
-  const FmIndex<RrrWaveletOcc>& index() const { return *index_; }
-  const ReferenceSet& reference() const noexcept { return reference_; }
-  /// The archive's EPR dictionary (format v4+); null when the archive
-  /// predates it or the pipeline was built in memory.
-  const EprOcc* epr() const noexcept { return epr_.get(); }
+  /// The built or loaded index and reference; require ready().
+  const FmIndex<RrrWaveletOcc>& index() const { return stored_->index; }
+  const ReferenceSet& reference() const { return stored_->reference; }
   /// Name of the first reference sequence.
   const std::string& reference_name() const {
-    return reference_.sequence(0).name;
+    return reference().sequence(0).name;
   }
 
   /// Serialized index-file helpers (exposed for tests).
@@ -200,27 +190,14 @@ class Pipeline {
                               Bwt& bwt, std::vector<std::uint32_t>& sa);
 
  private:
-  void build_index(Bwt bwt, std::vector<std::uint32_t> sa);
-
-  /// Resolves one batch's SA intervals to per-sequence SAM alignments
-  /// (boundary filtering, hit cap) and accumulates outcome counters.
-  void resolve_results(const std::vector<FastqRecord>& records,
-                       std::span<const QueryResult> results, MappingOutcome& outcome,
-                       std::vector<SamAlignment>& alignments) const;
-
-  std::vector<SamSequence> sam_sequences() const;
+  void build_index(ReferenceSet reference, Bwt bwt, std::vector<std::uint32_t> sa);
 
   PipelineConfig config_;
   PipelineTimings timings_;
-  ReferenceSet reference_;
-  std::unique_ptr<FmIndex<RrrWaveletOcc>> index_;
-  std::unique_ptr<Bowtie2LikeMapper> bowtie_;  ///< built lazily for that engine
-  /// EPR dictionary adopted from a v4 archive; the epr engine aliases it
-  /// instead of re-transposing the BWT.
-  std::shared_ptr<const EprOcc> epr_;
-  /// Keeps a zero-copy-loaded archive mapped while index_/reference_ view
-  /// into it; null for heap-owned pipelines.
-  std::shared_ptr<const MappedFile> archive_backing_;
+  /// The index in the same form a registry handle holds it (a zero-copy
+  /// load keeps its archive mapped through `backing`), so the pipeline maps
+  /// through the same per-index engine cache; null until built or loaded.
+  std::unique_ptr<const StoredIndex> stored_;
 };
 
 }  // namespace bwaver

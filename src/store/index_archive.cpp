@@ -329,6 +329,18 @@ const char* load_mode_name(LoadMode mode) {
   return mode == LoadMode::kMmap ? "mmap" : "copy";
 }
 
+EngineCache::Engine EngineCache::get_or_prepare(
+    MappingEngine engine, const std::function<std::pair<Engine, std::size_t>()>& prepare) {
+  Slot& slot = slots_[static_cast<std::size_t>(engine)];
+  std::lock_guard lock(slot.mutex);
+  if (!slot.engine) {
+    auto [prepared, bytes] = prepare();
+    slot.engine = std::move(prepared);
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  return slot.engine;
+}
+
 IndexFootprint stored_index_footprint(const StoredIndex& stored) {
   const KmerSeedTable* seeds = stored.index.seed_table();
   const auto mapped_part = [](std::size_t payload, std::size_t heap) {

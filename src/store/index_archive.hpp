@@ -49,7 +49,7 @@
 //            so serving with --engine epr adopts the constant-time rank
 //            structure straight from the file instead of re-transposing the
 //            BWT at load. v3 archives (no such section) still load; the epr
-//            engine then re-encodes transiently.
+//            engine then transposes once per loaded generation.
 //
 // A v3/v4 archive can therefore be loaded two ways (LoadMode):
 //
@@ -63,8 +63,12 @@
 // bad magic, unknown version, or checksum mismatch raises IoError.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -77,6 +81,7 @@
 #include "fmindex/reference_set.hpp"
 #include "io/byte_io.hpp"
 #include "io/mapped_file.hpp"
+#include "kernels/registry.hpp"
 
 namespace bwaver {
 
@@ -96,13 +101,43 @@ std::optional<LoadMode> parse_load_mode(std::string_view name);
 /// Stable name for stats/logs.
 const char* load_mode_name(LoadMode mode);
 
+class PreparedEngine;  // mapper/map_service.hpp
+
+/// The mapping engines prepared over one loaded index, one slot per
+/// MappingEngine. The mapper fills a slot on the first request for that
+/// engine (prepared_engine() in mapper/map_service.hpp); the slot lock makes
+/// concurrent first requests prepare once. The engines die with the
+/// StoredIndex that owns them: when the registry has dropped the generation
+/// (rollover, eviction) and the last in-flight handle drains.
+class EngineCache {
+ public:
+  using Engine = std::shared_ptr<const PreparedEngine>;
+
+  /// The engine in `engine`'s slot. On a miss runs `prepare` under the slot
+  /// lock and charges the heap bytes it reports to bytes(); a throwing
+  /// prepare leaves the slot empty, so the next request retries.
+  Engine get_or_prepare(MappingEngine engine,
+                        const std::function<std::pair<Engine, std::size_t>()>& prepare);
+
+  /// Heap bytes of the prepared engines (part of the registry's charge).
+  std::size_t bytes() const noexcept { return bytes_.load(std::memory_order_relaxed); }
+
+ private:
+  struct Slot {
+    std::mutex mutex;
+    Engine engine;
+  };
+  std::array<Slot, kMappingEngineCount> slots_;
+  std::atomic<std::size_t> bytes_{0};
+};
+
 /// A complete loaded index: what the registry hands to concurrent readers.
 struct StoredIndex {
   ReferenceSet reference;
   FmIndex<RrrWaveletOcc> index;
   /// The v4 "epr" section, when present: the EPR dictionary over the same
   /// BWT, served zero-copy (mmap loads alias the file). Null for v1..v3
-  /// archives — the epr engine then re-encodes transiently.
+  /// archives — the epr engine then transposes the BWT once per generation.
   std::shared_ptr<const EprOcc> epr;
   /// Keeps the mapped archive alive while any structure views into it;
   /// null for heap-owned (copy/v1/v2) loads. Destroying the last reference
@@ -111,6 +146,10 @@ struct StoredIndex {
   /// Mode the index was actually loaded with (kCopy for v1/v2 archives
   /// regardless of the requested mode).
   LoadMode load_mode = LoadMode::kCopy;
+  /// Engines prepared over this index. Declared last, so they are destroyed
+  /// before the index, EPR section and mapping they view; held by pointer so
+  /// StoredIndex stays movable (prepare only once it has a stable address).
+  std::unique_ptr<EngineCache> engines = std::make_unique<EngineCache>();
 };
 
 /// Resident footprint of a loaded index, split by where the bytes live.

@@ -84,10 +84,14 @@ void IndexRegistry::save_manifest_locked() const {
   }
 }
 
+std::size_t IndexRegistry::engine_bytes(const Entry& entry) {
+  return entry.resident ? entry.resident->engines->bytes() : 0;
+}
+
 std::size_t IndexRegistry::resident_bytes_locked() const {
   std::size_t total = 0;
   for (const auto& [name, entry] : entries_) {
-    total += entry->resident_bytes;
+    total += entry->resident_bytes + engine_bytes(*entry);
   }
   return total;
 }
@@ -95,7 +99,7 @@ std::size_t IndexRegistry::resident_bytes_locked() const {
 std::size_t IndexRegistry::charged_bytes_locked() const {
   std::size_t total = 0;
   for (const auto& [name, entry] : entries_) {
-    total += entry->heap_bytes + entry->mapped_bytes / kMappedWeight;
+    total += entry->heap_bytes + engine_bytes(*entry) + entry->mapped_bytes / kMappedWeight;
   }
   return total;
 }
@@ -360,8 +364,8 @@ std::vector<RegistryEntry> IndexRegistry::list() const {
     snapshot.archive_path = entry->archive_path;
     snapshot.archive_bytes = entry->archive_bytes;
     snapshot.resident = entry->resident != nullptr;
-    snapshot.resident_bytes = entry->resident_bytes;
-    snapshot.heap_bytes = entry->heap_bytes;
+    snapshot.resident_bytes = entry->resident_bytes + engine_bytes(*entry);
+    snapshot.heap_bytes = entry->heap_bytes + engine_bytes(*entry);
     snapshot.mapped_bytes = entry->mapped_bytes;
     snapshot.text_length = entry->text_length;
     snapshot.num_sequences = entry->num_sequences;
@@ -379,7 +383,7 @@ std::size_t IndexRegistry::resident_bytes() const {
 std::size_t IndexRegistry::heap_bytes() const {
   std::shared_lock lock(mutex_);
   std::size_t total = 0;
-  for (const auto& [name, entry] : entries_) total += entry->heap_bytes;
+  for (const auto& [name, entry] : entries_) total += entry->heap_bytes + engine_bytes(*entry);
   return total;
 }
 

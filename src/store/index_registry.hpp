@@ -23,6 +23,10 @@
 // write lock (a pointer swap) and the old archive is removed. In-flight
 // readers holding the previous generation's handle finish undisturbed and
 // drain via refcount.
+//
+// Each handle also carries the mapping engines prepared over that generation
+// (StoredIndex::engines). They are charged to the budget as heap bytes and
+// freed with the generation.
 #pragma once
 
 #include <atomic>
@@ -43,7 +47,8 @@ struct RegistryEntry {
   std::string archive_path;        ///< empty in memory-only mode
   std::uint64_t archive_bytes = 0; ///< on-disk size (0 in memory-only mode)
   std::size_t resident_bytes = 0;  ///< heap + mapped; 0 when not resident
-  std::size_t heap_bytes = 0;      ///< private allocations of the resident copy
+  /// Private allocations of the resident copy, its prepared engines included.
+  std::size_t heap_bytes = 0;
   std::size_t mapped_bytes = 0;    ///< file-backed (mmap-adopted) bytes
   bool resident = false;
   std::uint64_t text_length = 0;
@@ -115,6 +120,8 @@ class IndexRegistry {
   /// Entries sorted by name.
   std::vector<RegistryEntry> list() const;
 
+  /// Resident index bytes, including the engines prepared over them (those
+  /// are charged from the next acquire after they were prepared).
   std::size_t resident_bytes() const;
   /// Heap-only / mapped-only parts of resident_bytes().
   std::size_t heap_bytes() const;
@@ -165,6 +172,8 @@ class IndexRegistry {
   std::size_t resident_bytes_locked() const;
   /// Weighted budget charge: heap + mapped / kMappedWeight.
   std::size_t charged_bytes_locked() const;
+  /// Heap bytes of the engines prepared over the entry's resident copy.
+  static std::size_t engine_bytes(const Entry& entry);
   void set_resident_locked(Entry& entry, Handle handle);
   void drop_resident_locked(Entry& entry);
 

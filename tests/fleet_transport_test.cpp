@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/web_service.hpp"
@@ -38,6 +39,16 @@ StoredIndex build_stored(const std::string& name, const std::vector<std::uint8_t
   return StoredIndex{std::move(reference),
                      FmIndex<RrrWaveletOcc>(std::move(bwt), std::move(sa), std::move(occ)),
                      nullptr, nullptr, LoadMode::kCopy};
+}
+
+/// Blocks until job `id` has left the queue and is running on a worker, so
+/// a job submitted afterwards cannot overtake it.
+void wait_until_running(const JobManager& jobs, std::uint64_t id) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (jobs.status(id)->state != JobState::kRunning) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "job " << id << " never ran";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 class FleetTransportTest : public ::testing::Test {
@@ -129,10 +140,11 @@ TEST_F(FleetTransportTest, InProcessGiveUpCancelsTheJob) {
   // cancels it deterministically before it can run.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  jobs.submit("blocker", [released](const CancelToken&) {
+  const std::uint64_t blocker = jobs.submit("blocker", [released](const CancelToken&) {
     released.wait();
     return std::string{};
   });
+  wait_until_running(jobs, blocker);
 
   InProcessTransport transport(registry, jobs, config_);
   std::atomic<bool> give_up{true};
@@ -197,14 +209,18 @@ TEST_F(FleetHttpTransportTest, HttpUnknownRefIsKBadRequestWith404) {
 
 TEST_F(FleetHttpTransportTest, HttpGiveUpCancelsTheReplicaJob) {
   // Pin both replica workers so the submitted job stays queued until the
-  // give-up DELETE lands.
+  // give-up DELETE lands. Both blockers must be running before the map job
+  // is submitted: a queued blocker would be overtaken by the high-priority
+  // map job, which could then finish before the DELETE arrives.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   for (int i = 0; i < 2; ++i) {
-    service_->jobs().submit("blocker", [released](const CancelToken&) {
-      released.wait();
-      return std::string{};
-    });
+    const std::uint64_t blocker =
+        service_->jobs().submit("blocker", [released](const CancelToken&) {
+          released.wait();
+          return std::string{};
+        });
+    wait_until_running(service_->jobs(), blocker);
   }
 
   HttpMapTransport transport(client_, "127.0.0.1", service_->port());

@@ -298,6 +298,10 @@ class MapCancellationTest : public ::testing::Test {
     records_ = reads_to_fastq(reads);
   }
 
+  PreparedEngine prepared() const {
+    return PreparedEngine(pipeline_.index(), nullptr, PipelineConfig{});
+  }
+
   Pipeline pipeline_{PipelineConfig{}};
   std::vector<FastqRecord> records_;
 };
@@ -305,16 +309,16 @@ class MapCancellationTest : public ::testing::Test {
 TEST_F(MapCancellationTest, PreCancelledTokenAbortsBeforeMapping) {
   CancelToken cancel;
   cancel.request_cancel();
-  EXPECT_THROW(map_records_over(pipeline_.index(), pipeline_.reference(),
-                                PipelineConfig{}, records_, nullptr, nullptr, &cancel),
+  EXPECT_THROW(map_records_over(prepared(), pipeline_.reference(), PipelineConfig{},
+                                records_, nullptr, &cancel),
                OperationCancelled);
 }
 
 TEST_F(MapCancellationTest, ExpiredDeadlineAbortsMapping) {
   CancelToken cancel;
   cancel.set_deadline(std::chrono::steady_clock::now() - 1ms);
-  EXPECT_THROW(map_records_over(pipeline_.index(), pipeline_.reference(),
-                                PipelineConfig{}, records_, nullptr, nullptr, &cancel),
+  EXPECT_THROW(map_records_over(prepared(), pipeline_.reference(), PipelineConfig{},
+                                records_, nullptr, &cancel),
                OperationCancelled);
 }
 
@@ -322,13 +326,13 @@ TEST_F(MapCancellationTest, CancellationMidMapThroughJobManager) {
   JobManager manager(JobManagerConfig{.workers = 1, .queue_capacity = 4});
   std::atomic<bool> started{false};
   const auto id = manager.submit("cancel_ref", [&](const CancelToken& cancel) {
+    const PreparedEngine engine = prepared();
     started.store(true);
     // Loop the whole batch so the job is guaranteed to still be inside
     // map_records_over whenever the cancel lands.
     for (;;) {
-      const auto outcome =
-          map_records_over(pipeline_.index(), pipeline_.reference(), PipelineConfig{},
-                           records_, nullptr, nullptr, &cancel);
+      const auto outcome = map_records_over(engine, pipeline_.reference(), PipelineConfig{},
+                                            records_, nullptr, &cancel);
       (void)outcome;
     }
     return std::string{};
@@ -344,11 +348,10 @@ TEST_F(MapCancellationTest, NullTokenMapsIdenticallyToTokenised) {
   // The chunked (cancellable) execution path must produce byte-identical
   // SAM to the single-batch path.
   CancelToken cancel;  // never triggered
-  const auto plain = map_records_over(pipeline_.index(), pipeline_.reference(),
-                                      PipelineConfig{}, records_);
-  const auto chunked =
-      map_records_over(pipeline_.index(), pipeline_.reference(), PipelineConfig{},
-                       records_, nullptr, nullptr, &cancel);
+  const auto plain =
+      map_records_over(prepared(), pipeline_.reference(), PipelineConfig{}, records_);
+  const auto chunked = map_records_over(prepared(), pipeline_.reference(), PipelineConfig{},
+                                        records_, nullptr, &cancel);
   EXPECT_EQ(plain.sam, chunked.sam);
   EXPECT_EQ(plain.reads, chunked.reads);
   EXPECT_EQ(plain.mapped, chunked.mapped);

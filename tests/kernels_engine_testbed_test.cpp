@@ -43,8 +43,9 @@ class EngineTestbed : public ::testing::TestWithParam<kernels::EngineSpec> {
 
     PipelineConfig reference_config;
     reference_config.engine = MappingEngine::kCpu;
-    reference_sam_ = new MappingOutcome(map_records_over(
-        pipeline_->index(), pipeline_->reference(), reference_config, *records_));
+    reference_sam_ = new MappingOutcome(
+        map_records_over(PreparedEngine(pipeline_->index(), nullptr, reference_config),
+                         pipeline_->reference(), reference_config, *records_));
   }
 
   static void TearDownTestSuite() {
@@ -72,8 +73,9 @@ MappingOutcome* EngineTestbed::reference_sam_ = nullptr;
 TEST_P(EngineTestbed, SamIsByteIdenticalToTheReferenceEngine) {
   PipelineConfig config;
   config.engine = GetParam().engine;
-  const MappingOutcome outcome = map_records_over(
-      pipeline_->index(), pipeline_->reference(), config, *records_);
+  const MappingOutcome outcome =
+      map_records_over(PreparedEngine(pipeline_->index(), nullptr, config),
+                       pipeline_->reference(), config, *records_);
   EXPECT_EQ(outcome.reads, reference_sam_->reads);
   EXPECT_EQ(outcome.mapped, reference_sam_->mapped);
   EXPECT_EQ(outcome.occurrences, reference_sam_->occurrences);
@@ -88,8 +90,9 @@ TEST_P(EngineTestbed, ShardedPathMatchesSequential) {
   config.engine = GetParam().engine;
   config.threads = 3;
   config.shard_size = 100;
-  const MappingOutcome sharded = map_records_over(
-      pipeline_->index(), pipeline_->reference(), config, *records_);
+  const MappingOutcome sharded =
+      map_records_over(PreparedEngine(pipeline_->index(), nullptr, config),
+                       pipeline_->reference(), config, *records_);
   EXPECT_GT(sharded.shards, 1u);
   EXPECT_EQ(sharded.sam, reference_sam_->sam) << "engine " << GetParam().name;
 }
@@ -98,8 +101,8 @@ TEST_P(EngineTestbed, TimedRunReportsEngineSeconds) {
   PipelineConfig config;
   config.engine = GetParam().engine;
   double seconds = -1.0;
-  map_records_over(pipeline_->index(), pipeline_->reference(), config, *records_,
-                   nullptr, &seconds);
+  map_records_over(PreparedEngine(pipeline_->index(), nullptr, config),
+                   pipeline_->reference(), config, *records_, &seconds);
   EXPECT_GE(seconds, 0.0);
 }
 

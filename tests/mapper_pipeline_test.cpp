@@ -234,44 +234,6 @@ TEST_F(PipelineTest, MultiChromosomeIndexFileRoundTripsThroughDisk) {
   EXPECT_EQ(pipeline.index().size(), chr1.size() + chr2.size());
 }
 
-TEST_F(PipelineTest, StreamingMapMatchesWholeFileMap) {
-  Pipeline pipeline;
-  pipeline.build_from_sequence("ref", dna_decode_string(genome_));
-
-  const std::string whole_sam_path = (dir_ / "whole.sam").string();
-  const std::string stream_sam_path = (dir_ / "stream.sam").string();
-  const MappingOutcome whole = pipeline.map_reads(fastq_path_, whole_sam_path);
-  // Tiny batch size to force many chunks through the streaming path.
-  const MappingOutcome streamed =
-      pipeline.map_reads_streaming(fastq_path_, stream_sam_path, 17);
-
-  EXPECT_EQ(streamed.reads, whole.reads);
-  EXPECT_EQ(streamed.mapped, whole.mapped);
-  EXPECT_EQ(streamed.occurrences, whole.occurrences);
-  EXPECT_EQ(read_file(stream_sam_path), read_file(whole_sam_path));
-}
-
-TEST_F(PipelineTest, StreamingMapFpgaProgramsOnce) {
-  PipelineConfig config;
-  config.engine = MappingEngine::kFpga;
-  Pipeline pipeline(config);
-  pipeline.build_from_sequence("ref", dna_decode_string(genome_));
-  const MappingOutcome outcome =
-      pipeline.map_reads_streaming(fastq_path_, "", 31);
-  EXPECT_EQ(outcome.mapped, 100u);
-  // The fixed program overhead appears exactly once in the modeled time.
-  EXPECT_GT(pipeline.timings().mapping_seconds, 0.17);
-  EXPECT_LT(pipeline.timings().mapping_seconds, 0.4);
-}
-
-TEST_F(PipelineTest, StreamingMapRejectsBadArguments) {
-  Pipeline pipeline;
-  EXPECT_THROW(pipeline.map_reads_streaming(fastq_path_, ""), std::logic_error);
-  pipeline.build_from_sequence("ref", dna_decode_string(genome_));
-  EXPECT_THROW(pipeline.map_reads_streaming(fastq_path_, "", 0),
-               std::invalid_argument);
-}
-
 TEST_F(PipelineTest, SeededAndUnseededMappingProduceIdenticalSam) {
   // The k-mer seed table is a pure accelerator: disabling it must not move
   // a single output byte, across every software engine.
