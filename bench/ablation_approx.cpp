@@ -2,7 +2,8 @@
 // modeled after Arram et al.'s runtime-reconfigured design). Reports, per
 // mutation profile, how reads distribute across the exact / 1-mismatch /
 // 2-mismatch stages and what each stage costs in the device model —
-// including the reconfiguration overhead the staged approach pays.
+// including the reconfiguration overhead the staged approach pays. The
+// mismatch stages run the bidirectional search schemes.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -19,10 +20,10 @@ int main(int argc, char** argv) {
                setup);
 
   const auto genome = ecoli_reference(setup);
-  const FmIndex<RrrWaveletOcc> index(genome, [](std::span<const std::uint8_t> bwt) {
+  const BidirFmIndex<RrrWaveletOcc> index(genome, [](std::span<const std::uint8_t> bwt) {
     return RrrWaveletOcc(bwt, RrrParams{15, 50});
   });
-  std::printf("reference: %zu bp\n", genome.size());
+  std::printf("reference: %zu bp (fwd+rev FM-indexes built)\n", genome.size());
 
   // Read sets with a controlled per-read substitution count.
   constexpr unsigned kReadLength = 64;
@@ -87,7 +88,8 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nexpected shape: almost all reads resolve in the cheap exact stage;\n"
-              "per-read step cost grows sharply with the mismatch budget, which is\n"
-              "why the staged design only reconfigures for the shrinking remainder.\n");
+              "per-read step cost grows with the mismatch budget (the search\n"
+              "schemes' exact anchors keep it to ~2-3x the exact stage), and every\n"
+              "stage pays a full reconfiguration for the shrinking remainder.\n");
   return 0;
 }

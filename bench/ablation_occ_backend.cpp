@@ -12,7 +12,6 @@
 #include "fmindex/occ_backends.hpp"
 #include "mapper/read_batch.hpp"
 #include "sim/read_sim.hpp"
-#include "succinct/global_rank_table.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -67,26 +66,6 @@ int main(int argc, char** argv) {
   const FmIndex<PlainWaveletOcc> plain(
       genome, [](std::span<const std::uint8_t> bwt) { return PlainWaveletOcc(bwt); });
   run_backend("plain wavelet (2-level rank)", plain, batch, 0);
-
-  // Related-work comparators: Waidyasooriya et al.'s header/body codewords
-  // and the SDSL-style Huffman-shaped tree over RRR nodes.
-  for (unsigned body : {512u, 1024u}) {
-    const FmIndex<HeaderBodyOcc> hb(
-        genome, [body](std::span<const std::uint8_t> bwt) {
-          return HeaderBodyOcc(bwt, HeaderBodyParams{body});
-        });
-    char label[64];
-    std::snprintf(label, sizeof(label), "header/body WT (%u-bit body)", body);
-    run_backend(label, hb, batch, 0);
-  }
-  {
-    const FmIndex<HuffmanRrrOcc> huff(
-        genome, [](std::span<const std::uint8_t> bwt) {
-          return HuffmanRrrOcc(bwt, RrrParams{15, 50});
-        });
-    run_backend("Huffman-RRR WT (b=15, sf=50)", huff, batch,
-                GlobalRankTable::get(15).device_size_in_bytes());
-  }
 
   for (unsigned words : {1u, 4u, 16u}) {
     const FmIndex<SampledOcc> sampled(

@@ -20,7 +20,7 @@
 //   index info       --archive ref.bwva | --store-dir DIR
 //                    archive section table / store manifest listing
 //   map              --index ref.bwvr --reads reads.fq[.gz] --out out.sam
-//                    [--engine fpga|rrr|sampled|plain|vector] [--threads T]
+//                    [--engine fpga|rrr|sampled|vector|epr] [--threads T]
 //                    (cpu/bowtie2like accepted as aliases; default from
 //                    $BWAVER_ENGINE, else fpga) [--b B] [--sf SF]
 //                    [--shards N] (reads per parallel shard, 0 = auto)
@@ -33,10 +33,8 @@
 //                    [--load-mode mmap|copy] selects zero-copy vs heap loads
 //                    of v3 archives, default $BWAVER_LOAD_MODE or copy)
 //   map-approx       --index ref.bwvr --reads reads.fq[.gz] [--mismatches K<=2]
-//                    staged exact -> 1-mm -> 2-mm mapping (FPGA model)
-//                    [--approx-mode branch|scheme] mismatch-stage algorithm:
-//                    per-stratum branch recursion or bidirectional search
-//                    schemes (identical hit sets, far fewer steps)
+//                    staged exact -> 1-mm -> 2-mm mapping (FPGA model); the
+//                    mismatch stages run bidirectional search schemes
 //                    [--max-approx-hits N] per-read/strand hit cap (0 = default)
 //   map-paired       --index ref.bwvr --reads1 m1.fq[.gz] --reads2 m2.fq[.gz]
 //                    [--min-insert N] [--max-insert N] [--threads T]
@@ -97,7 +95,7 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 int usage() {
   std::fprintf(stderr,
                "usage: bwaver <simulate-genome|simulate-reads|index|map|map-approx|"
-               "pipeline|serve|router> [options]\n"
+               "map-paired|pipeline|stats|serve|router> [options]\n"
                "run `bwaver <subcommand>` with no options for details in the header "
                "of src/app/bwaver_main.cpp\n");
   return 2;
@@ -411,10 +409,6 @@ int cmd_map_approx(const ArgParser& args) {
   if (index_path.empty() || reads_path.empty()) return usage();
   const auto mismatches = static_cast<unsigned>(args.get_int("mismatches", 2));
 
-  ApproxMode approx_mode = ApproxMode::kBranch;
-  if (const std::string mode_arg = args.get("approx-mode"); !mode_arg.empty()) {
-    approx_mode = parse_approx_mode(mode_arg);  // throws on anything else
-  }
   std::size_t hit_cap =
       static_cast<std::size_t>(args.get_int("max-approx-hits", 0));
   if (hit_cap == 0) hit_cap = kDefaultApproxHitCap;
@@ -425,25 +419,20 @@ int cmd_map_approx(const ArgParser& args) {
   const auto records = read_fastq(reads_path);
   const ReadBatch batch = ReadBatch::from_fastq(records);
 
-  // Scheme mode needs the reverse-text index too; build it over the same
-  // text with the same RRR geometry so both directions rank identically.
-  std::unique_ptr<BidirFmIndex<RrrWaveletOcc>> bidir;
-  if (approx_mode == ApproxMode::kScheme) {
-    const RrrParams params = config.rrr;
-    bidir = std::make_unique<BidirFmIndex<RrrWaveletOcc>>(
-        pipeline.index(), pipeline.reference().concatenated(),
-        [params](std::span<const std::uint8_t> symbols) {
-          return RrrWaveletOcc(symbols, params);
-        });
-  }
+  // The search schemes need the reverse-text index too; build it over the
+  // same text with the same RRR geometry so both directions rank identically.
+  const RrrParams params = config.rrr;
+  const BidirFmIndex<RrrWaveletOcc> bidir(pipeline.index(),
+                                          pipeline.reference().concatenated(),
+                                          [params](std::span<const std::uint8_t> symbols) {
+                                            return RrrWaveletOcc(symbols, params);
+                                          });
 
-  const StagedFpgaMapper mapper(pipeline.index(), DeviceSpec{}, mismatches,
-                                approx_mode, bidir.get(), hit_cap);
+  const StagedFpgaMapper mapper(bidir, DeviceSpec{}, mismatches, hit_cap);
   StagedMapReport report;
   const auto results = mapper.map(batch, &report, config.search_mode);
 
-  std::printf("staged approximate mapping, up to %u mismatches (%s mode)\n",
-              mismatches, approx_mode_name(approx_mode));
+  std::printf("staged approximate mapping, up to %u mismatches\n", mismatches);
   std::printf("%8s %10s %10s %12s %14s %14s\n", "stage", "reads in", "aligned",
               "steps", "reconf [ms]", "kernel [ms]");
   for (const auto& stage : report.stages) {

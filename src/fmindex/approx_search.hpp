@@ -9,35 +9,20 @@
 // mismatch budget remains. Every emitted interval corresponds to a distinct
 // modified pattern string, so intervals are pairwise disjoint and can be
 // summed/located without deduplication. Cost grows as O((3p)^k), which is
-// why hardware designs stop at k = 2 (paper, Sec. II).
+// why hardware designs stop at k = 2 (paper, Sec. II). The staged mapper
+// runs bidirectional search schemes instead (bidir_index.hpp); this
+// recursion is their test oracle and their fallback for patterns too short
+// to partition.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "fmindex/fm_index.hpp"
 
 namespace bwaver {
-
-/// How the approximate stages enumerate mismatching strings:
-/// kBranch — the classic 4-way backward recursion above (restarts the full
-/// pattern per stratum); kScheme — precomputed bidirectional search schemes
-/// (bidir_index.hpp), same hit sets, far fewer executed steps.
-enum class ApproxMode : std::uint8_t { kBranch, kScheme };
-
-inline const char* approx_mode_name(ApproxMode mode) noexcept {
-  return mode == ApproxMode::kScheme ? "scheme" : "branch";
-}
-
-inline ApproxMode parse_approx_mode(std::string_view name) {
-  if (name == "branch") return ApproxMode::kBranch;
-  if (name == "scheme") return ApproxMode::kScheme;
-  throw std::invalid_argument("approx mode must be 'branch' or 'scheme'");
-}
 
 /// Ceiling on hits gathered per search before truncation. Repetitive
 /// references can make a low-complexity read match at millions of rows;

@@ -19,8 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "succinct/header_body_vector.hpp"
-#include "succinct/huffman_wavelet_tree.hpp"
 #include "succinct/rank_support.hpp"
 #include "succinct/rrr_vector.hpp"
 #include "succinct/wavelet_tree.hpp"
@@ -124,65 +122,6 @@ class PlainWaveletOcc {
 
  private:
   WaveletTree<PlainRankBitVector> tree_;
-};
-
-/// Wavelet tree over header/body codewords — the Waidyasooriya et al.
-/// related-work structure (ablation backend; ~32/body_bits space overhead
-/// over the raw bits, single-fetch rank).
-class HeaderBodyOcc {
- public:
-  HeaderBodyOcc() = default;
-  explicit HeaderBodyOcc(std::span<const std::uint8_t> bwt,
-                         HeaderBodyParams params = {})
-      : tree_(bwt, 4, [params](const BitVector& bits) {
-          return HeaderBodyVector(bits, params);
-        }) {}
-
-  std::size_t rank(std::uint8_t c, std::size_t i) const noexcept {
-    return tree_.rank(c, i);
-  }
-  std::pair<std::size_t, std::size_t> rank2(std::uint8_t c, std::size_t i1,
-                                            std::size_t i2) const noexcept {
-    return tree_.rank_pair(c, i1, i2);
-  }
-  std::uint8_t access(std::size_t i) const noexcept { return tree_.access(i); }
-  std::size_t size() const noexcept { return tree_.size(); }
-  std::size_t size_in_bytes() const noexcept { return tree_.size_in_bytes(); }
-
-  void save(ByteWriter& writer) const { tree_.save(writer); }
-  static HeaderBodyOcc load(ByteReader& reader) {
-    HeaderBodyOcc occ;
-    occ.tree_ = WaveletTree<HeaderBodyVector>::load(reader);
-    return occ;
-  }
-
- private:
-  WaveletTree<HeaderBodyVector> tree_;
-};
-
-/// Huffman-shaped wavelet tree over RRR nodes — the SDSL-style shape used
-/// by the BWT-WT related work (ablation backend; wins on skewed
-/// compositions, ties the balanced tree on near-uniform DNA).
-class HuffmanRrrOcc {
- public:
-  HuffmanRrrOcc() = default;
-  HuffmanRrrOcc(std::span<const std::uint8_t> bwt, RrrParams params)
-      : params_(params), tree_(bwt, 4, [params](const BitVector& bits) {
-          return RrrVector(bits, params);
-        }) {}
-
-  std::size_t rank(std::uint8_t c, std::size_t i) const noexcept {
-    return tree_.rank(c, i);
-  }
-  std::uint8_t access(std::size_t i) const noexcept { return tree_.access(i); }
-  std::size_t size() const noexcept { return tree_.size(); }
-  std::size_t size_in_bytes() const noexcept { return tree_.size_in_bytes(); }
-  double average_code_length() const noexcept { return tree_.average_code_length(); }
-  RrrParams params() const noexcept { return params_; }
-
- private:
-  RrrParams params_{};
-  HuffmanWaveletTree<RrrVector> tree_;
 };
 
 class SampledOcc {

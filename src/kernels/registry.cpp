@@ -9,10 +9,10 @@ namespace bwaver::kernels {
 namespace {
 
 // approx_bytes_per_base: RRR ~0.36 (entropy-coded blocks + directories),
-// plain wavelet ~0.31 (2 raw bits + two-level rank), sampled ~0.375
-// (0.25 packed + 16 B checkpoint per 128 bases at the default width),
-// vector 64 B per 192 bases = ~0.34, epr 64 B per 128 bases = 0.5 (the
-// bit-transposed layout spends space to make every rank one cache line).
+// sampled ~0.375 (0.25 packed + 16 B checkpoint per 128 bases at the
+// default width), vector 64 B per 192 bases = ~0.34, epr 64 B per 128
+// bases = 0.5 (the bit-transposed layout spends space to make every rank
+// one cache line).
 constexpr EngineSpec kEngineTable[] = {
     {MappingEngine::kFpga, "fpga", nullptr, "RrrWaveletOcc",
      "modeled FPGA device scanning the RRR wavelet tree in fabric", true, false,
@@ -22,9 +22,6 @@ constexpr EngineSpec kEngineTable[] = {
     {MappingEngine::kBowtie2Like, "sampled", "bowtie2like", "SampledOcc",
      "Bowtie-style packed BWT with checkpointed counters, scalar SWAR", false,
      false, 0.375},
-    {MappingEngine::kPlainWavelet, "plain", nullptr, "PlainWaveletOcc",
-     "uncompressed wavelet tree with two-level rank directories", false, false,
-     0.31},
     {MappingEngine::kVector, "vector", nullptr, "VectorOcc",
      "interleaved packed BWT counted by the runtime-dispatched SIMD kernels",
      false, true, 0.34},

@@ -20,12 +20,11 @@ namespace bwaver {
 /// keep their order (kCpu = the paper's RRR software search, kBowtie2Like
 /// = the sampled-occ baseline).
 enum class MappingEngine {
-  kFpga,          ///< modeled FPGA device over the RRR wavelet tree
-  kCpu,           ///< software search, RrrWaveletOcc ("rrr")
-  kBowtie2Like,   ///< software search, SampledOcc ("sampled")
-  kPlainWavelet,  ///< software search, PlainWaveletOcc ("plain")
-  kVector,        ///< software search, VectorOcc + SIMD kernels ("vector")
-  kEpr,           ///< software search, EprOcc constant-time rank ("epr")
+  kFpga,         ///< modeled FPGA device over the RRR wavelet tree
+  kCpu,          ///< software search, RrrWaveletOcc ("rrr")
+  kBowtie2Like,  ///< software search, SampledOcc ("sampled")
+  kVector,       ///< software search, VectorOcc + SIMD kernels ("vector")
+  kEpr,          ///< software search, EprOcc constant-time rank ("epr")
 };
 /// Number of MappingEngine values (kEpr stays last).
 inline constexpr std::size_t kMappingEngineCount =
@@ -51,7 +50,7 @@ std::span<const EngineSpec> engines();
 const EngineSpec& engine_spec(MappingEngine engine);
 
 /// Canonical-name or alias lookup ("fpga", "rrr"/"cpu",
-/// "sampled"/"bowtie2like", "plain", "vector"); nullopt for anything else.
+/// "sampled"/"bowtie2like", "vector", "epr"); nullopt for anything else.
 std::optional<MappingEngine> parse_engine_name(std::string_view name);
 
 /// Engine used when no --engine flag is given: $BWAVER_ENGINE if set to a

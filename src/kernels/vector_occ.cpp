@@ -48,24 +48,6 @@ std::pair<std::size_t, std::size_t> VectorOcc::rank2(std::uint8_t c, std::size_t
                       static_cast<unsigned>(i2 % kBasesPerBlock), c)};
 }
 
-void VectorOcc::rank2_bulk(std::span<const BulkQuery> queries,
-                           std::pair<std::uint32_t, std::uint32_t>* out) const noexcept {
-  // Lookahead deep enough to cover DRAM latency at one line per query pair,
-  // short enough that prefetched lines survive in L1 until their scan.
-  constexpr std::size_t kLookahead = 8;
-  const std::size_t n = queries.size();
-  for (std::size_t q = 0; q < n; ++q) {
-    if (q + kLookahead < n) {
-      const BulkQuery& ahead = queries[q + kLookahead];
-      __builtin_prefetch(&blocks_[ahead.lo / kBasesPerBlock], 0, 1);
-      __builtin_prefetch(&blocks_[ahead.hi / kBasesPerBlock], 0, 1);
-    }
-    const BulkQuery& query = queries[q];
-    const auto [r_lo, r_hi] = rank2(query.c, query.lo, query.hi);
-    out[q] = {static_cast<std::uint32_t>(r_lo), static_cast<std::uint32_t>(r_hi)};
-  }
-}
-
 void VectorOcc::save(ByteWriter& writer) const {
   writer.u64(n_);
   for (const Block& block : blocks_) {

@@ -55,21 +55,6 @@ class VectorOcc {
     __builtin_prefetch(&blocks_[i / kBasesPerBlock], /*rw=*/0, /*locality=*/1);
   }
 
-  /// One bulk-rank query: rank2(c, lo, hi) with lo <= hi <= size().
-  struct BulkQuery {
-    std::uint32_t lo;
-    std::uint32_t hi;
-    std::uint8_t c;
-  };
-
-  /// Bulk multi-position rank: out[q] = rank2(queries[q]) for every query.
-  /// The scan runs a software-prefetch window ahead of itself, so the
-  /// independent line fetches overlap instead of serializing. The sweep
-  /// scheduler reaches the same overlap by interleaving prefetch() with
-  /// rank2 steps (which avoids materializing a query array per pass); this
-  /// entry point serves callers that already hold a flat query batch.
-  void rank2_bulk(std::span<const BulkQuery> queries,
-                  std::pair<std::uint32_t, std::uint32_t>* out) const noexcept;
   std::pair<std::size_t, std::size_t> rank_pair(std::uint8_t c, std::size_t i1,
                                                 std::size_t i2) const noexcept {
     return rank2(c, i1, i2);

@@ -131,8 +131,6 @@ std::vector<QueryResult> sweep_map_batch(const FmIndex<Occ>& index,
 
 template std::vector<QueryResult> sweep_map_batch<RrrWaveletOcc>(
     const FmIndex<RrrWaveletOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
-template std::vector<QueryResult> sweep_map_batch<PlainWaveletOcc>(
-    const FmIndex<PlainWaveletOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<SampledOcc>(
     const FmIndex<SampledOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> sweep_map_batch<VectorOcc>(

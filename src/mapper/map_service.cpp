@@ -206,9 +206,6 @@ PreparedEngine::PreparedEngine(const FmIndex<RrrWaveletOcc>& index, const EprOcc
     case MappingEngine::kBowtie2Like:
       derive([](std::span<const std::uint8_t> bwt) { return SampledOcc(bwt, 4); });
       break;
-    case MappingEngine::kPlainWavelet:
-      derive([](std::span<const std::uint8_t> bwt) { return PlainWaveletOcc(bwt); });
-      break;
     case MappingEngine::kVector:
       derive([](std::span<const std::uint8_t> bwt) { return VectorOcc(bwt); });
       break;
@@ -248,6 +245,13 @@ std::shared_ptr<const PreparedEngine> prepared_engine(const StoredIndex& stored,
 }
 
 namespace {
+
+/// Frees the alignment records once the SAM document is rendered from them,
+/// inside the sam stage's timer: on a fast engine the teardown of a large
+/// batch's records is otherwise a visible unattributed tail of the map span.
+void release(std::vector<SamAlignment>& alignments) {
+  std::vector<SamAlignment>().swap(alignments);
+}
 
 /// map_records_over's body, run inside the caller's "map_records" span.
 MappingOutcome map_prepared(const PreparedEngine& engine, const ReferenceSet& reference,
@@ -348,6 +352,7 @@ MappingOutcome map_prepared(const PreparedEngine& engine, const ReferenceSet& re
     if (mapping_seconds != nullptr) *mapping_seconds = seconds;
     WallTimer sam_timer;
     outcome.sam = format_sam(sam_sequences_for(reference), alignments);
+    release(alignments);
     outcome.stages.sam_ms = sam_timer.milliseconds();
     publish_stages(obs_ctx, obs_ctx.parent_span, outcome.stages, engine_name, mode_name,
                    outcome.sweep, nullptr);
@@ -393,6 +398,7 @@ MappingOutcome map_prepared(const PreparedEngine& engine, const ReferenceSet& re
 
   WallTimer sam_timer;
   outcome.sam = format_sam(sam_sequences_for(reference), alignments);
+  release(alignments);
   outcome.stages.sam_ms = sam_timer.milliseconds();
   publish_stages(obs_ctx, obs_ctx.parent_span, outcome.stages, engine_name, mode_name,
                  outcome.sweep, device ? &fpga_total : nullptr);

@@ -52,7 +52,7 @@ void resolve_query_results(const ReferenceSet& reference,
 ///   rrr     — nothing; searches the archive's RRR wavelet tree;
 ///   epr     — aliases the archive's "epr" section zero-copy, or transposes
 ///             the BWT once when `epr` is null;
-///   sampled, plain, vector — encode their Occ once over the archive's BWT,
+///   sampled, vector — encode their Occ once over the archive's BWT,
 ///             borrowing its suffix array and seed table (DerivedOccMapper);
 ///             sampled keeps 4-word checkpoints;
 ///   fpga    — builds (programs) the HlsMapperKernel once; every map call

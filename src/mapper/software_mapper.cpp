@@ -56,8 +56,6 @@ std::vector<QueryResult> map_batch(const FmIndex<Occ>& index, const ReadBatch& b
 
 template std::vector<QueryResult> map_batch<RrrWaveletOcc>(
     const FmIndex<RrrWaveletOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
-template std::vector<QueryResult> map_batch<PlainWaveletOcc>(
-    const FmIndex<PlainWaveletOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> map_batch<SampledOcc>(
     const FmIndex<SampledOcc>&, const ReadBatch&, unsigned, SoftwareMapReport*);
 template std::vector<QueryResult> map_batch<VectorOcc>(

@@ -123,7 +123,6 @@ class DerivedOccMapper {
   const FmIndex<RrrWaveletOcc>* base_;
 };
 
-using PlainWaveletMapper = DerivedOccMapper<PlainWaveletOcc>;
 using VectorMapper = DerivedOccMapper<VectorOcc>;
 using EprMapper = DerivedOccMapper<EprOcc>;
 

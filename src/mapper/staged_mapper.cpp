@@ -44,23 +44,21 @@ std::uint64_t exact_count_steps(const FmIndex<RrrWaveletOcc>& index,
 /// Searches one read (both strands) at exactly the given mismatch budget
 /// and fills the result when anything aligns. PRECONDITION at budget > 0:
 /// the read failed every lower budget (the staged pipeline guarantees it
-/// by construction) — kScheme mode relies on this to search only the
-/// exactly-`budget` stratum. Returns the executed backward-search steps
-/// (slower strand, the engine-occupancy metric); `stats` (optional)
-/// accumulates both strands' approximate-search counters. In kScheme mode
-/// `bidir` must be the bidirectional wrapper of `index`. Both modes
-/// resolve the SAME hit set; positions are canonicalized (sorted per
-/// strand, forward first) so the modes are byte-identical wherever
-/// neither truncates.
-std::uint64_t search_read_stage(const FmIndex<RrrWaveletOcc>& index,
-                                const BidirFmIndex<RrrWaveletOcc>* bidir,
-                                ApproxMode mode, std::size_t hit_cap,
-                                std::span<const std::uint8_t> codes, unsigned budget,
-                                StagedReadResult& result, ApproxStats* stats) {
+/// by construction), so only the exactly-`budget` stratum is searched.
+/// Returns the executed backward-search steps (slower strand, the
+/// engine-occupancy metric); `stats` (optional) accumulates both strands'
+/// approximate-search counters. Positions are canonicalized (sorted per
+/// strand, forward first), so they equal the branch recursion's loci
+/// wherever neither truncates.
+std::uint64_t search_read_stage(const BidirFmIndex<RrrWaveletOcc>& bidir,
+                                std::size_t hit_cap, std::span<const std::uint8_t> codes,
+                                unsigned budget, StagedReadResult& result,
+                                ApproxStats* stats) {
+  const FmIndex<RrrWaveletOcc>& index = bidir.forward();
   const auto rc = dna_reverse_complement(codes);
 
   // The exact stage runs the seeded search: same intervals and positions
-  // as the recursion below, fewer modeled steps when the seed table hits.
+  // as the budget-0 recursion, fewer modeled steps when the seed table hits.
   if (budget == 0) {
     SaInterval fwd_iv, rev_iv;
     const std::uint64_t fwd_steps = exact_count_steps(index, codes, fwd_iv);
@@ -78,44 +76,26 @@ std::uint64_t search_read_stage(const FmIndex<RrrWaveletOcc>& index,
     return std::max(fwd_steps, rev_steps);
   }
 
+  // Only the exactly-`budget` stratum: a read reaches this budget only
+  // after failing every lower stage, which ran the identical searches —
+  // the lower strata are provably empty.
   ApproxStats fwd_stats, rev_stats;
   std::vector<ApproxHit> fwd_hits, rev_hits;
-  std::uint8_t best = StagedReadResult::kUnaligned;
-  if (mode == ApproxMode::kScheme) {
-    // Only the exactly-`budget` stratum: the staged pipeline (and the
-    // software comparator) advance a read to this budget only after it
-    // failed every lower stage, and those stages ran the identical
-    // searches — the lower strata are provably empty. This is the
-    // schemes' structural advantage over the branch recursion, which
-    // re-explores the whole <=budget tree each stage by construction.
-    scheme_count_exact(*bidir, codes, budget, fwd_hits, &fwd_stats, hit_cap);
-    scheme_count_exact(*bidir, rc, budget, rev_hits, &rev_stats, hit_cap);
-    if (!fwd_hits.empty() || !rev_hits.empty()) {
-      best = static_cast<std::uint8_t>(budget);
-    }
-  } else {
-    fwd_hits = approx_count(index, codes, budget, &fwd_stats, hit_cap);
-    rev_hits = approx_count(index, rc, budget, &rev_stats, hit_cap);
-    // Reads reaching stage k failed every stage < k, so any hit here is at
-    // stratum k for exact-stage reads; for robustness pick the minimum
-    // stratum actually present.
-    for (const auto& hit : fwd_hits) best = std::min(best, hit.mismatches);
-    for (const auto& hit : rev_hits) best = std::min(best, hit.mismatches);
-  }
-  if (best != StagedReadResult::kUnaligned) {
-    result.stage = best;
+  scheme_count_exact(bidir, codes, budget, fwd_hits, &fwd_stats, hit_cap);
+  scheme_count_exact(bidir, rc, budget, rev_hits, &rev_stats, hit_cap);
+  if (!fwd_hits.empty() || !rev_hits.empty()) {
+    result.stage = static_cast<std::uint8_t>(budget);
     std::vector<std::uint32_t> strand_positions;
     for (int strand = 0; strand < 2; ++strand) {
       const auto& hits = strand == 0 ? fwd_hits : rev_hits;
       strand_positions.clear();
       for (const auto& hit : hits) {
-        if (hit.mismatches != best) continue;
         for (std::uint32_t row = hit.interval.lo; row < hit.interval.hi; ++row) {
           strand_positions.push_back(index.suffix_array()[row]);
         }
       }
-      // The two modes enumerate the (identical) interval set in different
-      // orders; sorting per strand makes the reported loci canonical.
+      // The schemes enumerate the interval set in scheme order; sorting
+      // per strand makes the reported loci canonical.
       std::sort(strand_positions.begin(), strand_positions.end());
       if (strand == 0) result.reverse_strand = strand_positions.empty();
       result.positions.insert(result.positions.end(), strand_positions.begin(),
@@ -217,31 +197,15 @@ ExactStageOutcome exact_stage_sweep(const FmIndex<RrrWaveletOcc>& index,
 
 }  // namespace
 
-StagedFpgaMapper::StagedFpgaMapper(const FmIndex<RrrWaveletOcc>& index, DeviceSpec spec,
-                                   unsigned max_mismatches, ApproxMode approx_mode,
-                                   const BidirFmIndex<RrrWaveletOcc>* bidir,
+StagedFpgaMapper::StagedFpgaMapper(const BidirFmIndex<RrrWaveletOcc>& index,
+                                   DeviceSpec spec, unsigned max_mismatches,
                                    std::size_t hit_cap)
-    : index_(&index),
-      spec_(spec),
-      max_mismatches_(max_mismatches),
-      approx_mode_(approx_mode),
-      bidir_(bidir),
-      hit_cap_(hit_cap) {
+    : index_(&index), spec_(spec), max_mismatches_(max_mismatches), hit_cap_(hit_cap) {
   if (max_mismatches > 2) {
     throw std::invalid_argument(
         "StagedFpgaMapper: staged designs support at most 2 mismatches");
   }
-  if (approx_mode == ApproxMode::kScheme) {
-    if (bidir == nullptr) {
-      throw std::invalid_argument(
-          "StagedFpgaMapper: scheme mode needs a bidirectional index");
-    }
-    if (&bidir->forward() != &index) {
-      throw std::invalid_argument(
-          "StagedFpgaMapper: bidirectional index must wrap the mapper's index");
-    }
-  }
-  const unsigned sf = index.occ_backend().params().superblock_factor;
+  const unsigned sf = index.forward().occ_backend().params().superblock_factor;
   step_ii_ = static_cast<unsigned>(std::max<std::uint64_t>(
       1, div_ceil(static_cast<std::uint64_t>(sf) * spec.class_field_bits,
                   spec.port_width_bits)));
@@ -254,8 +218,7 @@ std::vector<StagedReadResult> StagedFpgaMapper::map(const ReadBatch& batch,
   std::vector<std::size_t> pending(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) pending[i] = i;
 
-  // Map-level approximate-search totals, published as labeled counters so
-  // the two ApproxModes can be compared on a live dashboard.
+  // Map-level approximate-search totals, published as counters.
   ApproxStats approx_totals;
 
   for (unsigned stage = 0; stage <= max_mismatches_; ++stage) {
@@ -266,7 +229,7 @@ std::vector<StagedReadResult> StagedFpgaMapper::map(const ReadBatch& batch,
     // re-streams the succinct structure.
     stage_report.reconfigure_seconds =
         spec_.bitstream_program_seconds +
-        static_cast<double>(index_->occ_size_in_bytes()) /
+        static_cast<double>(index_->forward().occ_size_in_bytes()) /
             spec_.pcie_bandwidth_bytes_per_sec;
 
     std::vector<std::size_t> still_pending;
@@ -274,7 +237,7 @@ std::vector<StagedReadResult> StagedFpgaMapper::map(const ReadBatch& batch,
     if (stage == 0 && mode == SearchMode::kSweep) {
       // Batched exact stage: one sweep over all pending reads, then the
       // identical per-read bookkeeping in pending order.
-      const ExactStageOutcome sweep = exact_stage_sweep(*index_, batch, pending);
+      const ExactStageOutcome sweep = exact_stage_sweep(index_->forward(), batch, pending);
       for (std::size_t k = 0; k < pending.size(); ++k) {
         const std::size_t read_index = pending[k];
         StagedReadResult& result = results[read_index];
@@ -286,7 +249,7 @@ std::vector<StagedReadResult> StagedFpgaMapper::map(const ReadBatch& batch,
           for (int strand = 0; strand < 2; ++strand) {
             const SaInterval& hit = strand == 0 ? fwd_iv : rev_iv;
             for (std::uint32_t row = hit.lo; row < hit.hi; ++row) {
-              result.positions.push_back(index_->suffix_array()[row]);
+              result.positions.push_back(index_->forward().suffix_array()[row]);
             }
           }
         }
@@ -304,8 +267,8 @@ std::vector<StagedReadResult> StagedFpgaMapper::map(const ReadBatch& batch,
         StagedReadResult& result = results[read_index];
         ApproxStats read_stats;
         const std::uint64_t steps =
-            search_read_stage(*index_, bidir_, approx_mode_, hit_cap_,
-                              batch.read(read_index), stage, result, &read_stats);
+            search_read_stage(*index_, hit_cap_, batch.read(read_index), stage,
+                              result, &read_stats);
         approx_totals.steps_executed += read_stats.steps_executed;
         approx_totals.branches_pruned += read_stats.branches_pruned;
         approx_totals.hits += read_stats.hits;
@@ -339,40 +302,32 @@ std::vector<StagedReadResult> StagedFpgaMapper::map(const ReadBatch& batch,
 
   if (const obs::ObsContext& ctx = obs::current_context();
       ctx.metrics != nullptr && approx_totals.steps_executed != 0) {
-    const obs::Labels labels{{"approx_mode", approx_mode_name(approx_mode_)}};
     ctx.metrics
         ->counter("bwaver_approx_steps_total",
-                  "Backward-search steps executed by the mismatch stages", labels)
+                  "Backward-search steps executed by the mismatch stages")
         .inc(approx_totals.steps_executed);
     ctx.metrics
         ->counter("bwaver_approx_pruned_total",
-                  "Search branches abandoned on an empty interval", labels)
+                  "Search branches abandoned on an empty interval")
         .inc(approx_totals.branches_pruned);
     ctx.metrics
-        ->counter("bwaver_approx_hits_total",
-                  "SA intervals emitted by the mismatch stages", labels)
+        ->counter("bwaver_approx_hits_total", "SA intervals emitted by the mismatch stages")
         .inc(approx_totals.hits);
   }
   return results;
 }
 
-std::vector<StagedReadResult> approx_map_batch(const FmIndex<RrrWaveletOcc>& index,
+std::vector<StagedReadResult> approx_map_batch(const BidirFmIndex<RrrWaveletOcc>& index,
                                                const ReadBatch& batch,
                                                unsigned max_mismatches, unsigned threads,
-                                               double* seconds, ApproxMode approx_mode,
-                                               const BidirFmIndex<RrrWaveletOcc>* bidir,
-                                               std::size_t hit_cap) {
-  if (approx_mode == ApproxMode::kScheme && bidir == nullptr) {
-    throw std::invalid_argument(
-        "approx_map_batch: scheme mode needs a bidirectional index");
-  }
+                                               double* seconds, std::size_t hit_cap) {
   std::vector<StagedReadResult> results(batch.size());
   WallTimer timer;
   auto work = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       for (unsigned stage = 0; stage <= max_mismatches; ++stage) {
-        search_read_stage(index, bidir, approx_mode, hit_cap, batch.read(i),
-                          stage, results[i], /*stats=*/nullptr);
+        search_read_stage(index, hit_cap, batch.read(i), stage, results[i],
+                          /*stats=*/nullptr);
         if (results[i].stage != StagedReadResult::kUnaligned) break;
       }
     }

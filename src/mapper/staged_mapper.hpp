@@ -10,11 +10,11 @@
 // time captures both effects the staged design trades off: reconfiguration
 // overhead vs. running expensive k-mismatch logic on few reads.
 //
-// The mismatch stages run in one of two modes (ApproxMode): the classic
-// per-stratum branch recursion, or precomputed bidirectional search schemes
-// over a BidirFmIndex (bidir_index.hpp) — identical hit sets, far fewer
-// executed steps, because every scheme anchors one pattern part exactly
-// before branching.
+// The mismatch stages run precomputed bidirectional search schemes over a
+// BidirFmIndex (bidir_index.hpp): the same hit sets as the classic
+// per-stratum branch recursion (approx_search.hpp, kept as the test
+// oracle), far fewer executed steps, because every scheme anchors one
+// pattern part exactly before branching.
 #pragma once
 
 #include <cstdint>
@@ -67,19 +67,13 @@ struct StagedMapReport {
 class StagedFpgaMapper {
  public:
   /// max_mismatches in [0, 2] (the range staged hardware designs support).
-  /// `approx_mode` selects the mismatch stages' search algorithm: kBranch
-  /// restarts the full 4-way backward recursion per stratum; kScheme runs
-  /// the precomputed bidirectional search schemes over `bidir` (which must
-  /// be non-null for that mode, wrap the same `index`, and outlive the
-  /// mapper). Hit SETS are identical either way (enumeration order inside a
-  /// read is canonicalized); only the executed step counts differ.
+  /// The exact stage searches `index.forward()`; the mismatch stages run
+  /// the search schemes over the pair. `index` must outlive the mapper.
   /// `hit_cap` bounds the SA intervals gathered per read and strand — a
   /// capped read is reported via StageReport::truncated_reads.
-  StagedFpgaMapper(const FmIndex<RrrWaveletOcc>& index, DeviceSpec spec = DeviceSpec{},
-                   unsigned max_mismatches = 2,
-                   ApproxMode approx_mode = ApproxMode::kBranch,
-                   const BidirFmIndex<RrrWaveletOcc>* bidir = nullptr,
-                   std::size_t hit_cap = kDefaultApproxHitCap);
+  explicit StagedFpgaMapper(const BidirFmIndex<RrrWaveletOcc>& index,
+                            DeviceSpec spec = DeviceSpec{}, unsigned max_mismatches = 2,
+                            std::size_t hit_cap = kDefaultApproxHitCap);
 
   /// Maps every read; results indexed by read. Report is optional. `mode`
   /// selects the exact (budget-0) stage's execution order: kSweep runs it
@@ -94,23 +88,21 @@ class StagedFpgaMapper {
   unsigned max_mismatches() const noexcept { return max_mismatches_; }
 
  private:
-  const FmIndex<RrrWaveletOcc>* index_;
+  const BidirFmIndex<RrrWaveletOcc>* index_;
   DeviceSpec spec_;
   unsigned max_mismatches_;
   unsigned step_ii_;
-  ApproxMode approx_mode_;
-  const BidirFmIndex<RrrWaveletOcc>* bidir_;
   std::size_t hit_cap_;
 };
 
 /// Software comparator: the same staged semantics on the host CPU across
 /// `threads` workers, returning identical StagedReadResult records.
-/// `approx_mode`/`bidir`/`hit_cap` mirror the StagedFpgaMapper constructor.
-std::vector<StagedReadResult> approx_map_batch(
-    const FmIndex<RrrWaveletOcc>& index, const ReadBatch& batch,
-    unsigned max_mismatches, unsigned threads = 1, double* seconds = nullptr,
-    ApproxMode approx_mode = ApproxMode::kBranch,
-    const BidirFmIndex<RrrWaveletOcc>* bidir = nullptr,
-    std::size_t hit_cap = kDefaultApproxHitCap);
+/// `hit_cap` mirrors the StagedFpgaMapper constructor.
+std::vector<StagedReadResult> approx_map_batch(const BidirFmIndex<RrrWaveletOcc>& index,
+                                               const ReadBatch& batch,
+                                               unsigned max_mismatches,
+                                               unsigned threads = 1,
+                                               double* seconds = nullptr,
+                                               std::size_t hit_cap = kDefaultApproxHitCap);
 
 }  // namespace bwaver

@@ -453,6 +453,19 @@ TEST_F(WebServiceTest, FullUploadIndexMapWorkflow) {
   EXPECT_NE(sam.find("40M"), std::string::npos);  // 40 bp exact matches
 }
 
+TEST_F(WebServiceTest, RetiredEngineNameIs400ListingTheSurvivors) {
+  const std::string upload =
+      http_request(service_.port(), "POST", "/reference", fasta_text_);
+  ASSERT_NE(upload.find("200 OK"), std::string::npos);
+
+  const std::string response =
+      http_request(service_.port(), "POST", "/map?engine=plain", fastq_text_);
+  EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
+  EXPECT_NE(response.find("unknown engine 'plain' (fpga|rrr|sampled|vector|epr)\n"),
+            std::string::npos)
+      << response;
+}
+
 TEST_F(WebServiceTest, GzippedUploadsAccepted) {
   const auto gz_fasta = gzip_compress(std::span<const std::uint8_t>(
       reinterpret_cast<const std::uint8_t*>(fasta_text_.data()), fasta_text_.size()));

@@ -30,24 +30,10 @@ FmIndex<SampledOcc> make_index(std::span<const std::uint8_t> text) {
   return FmIndex<SampledOcc>(
       text, [](std::span<const std::uint8_t> bwt) { return SampledOcc(bwt, 2); });
 }
-template <>
-FmIndex<HeaderBodyOcc> make_index(std::span<const std::uint8_t> text) {
-  return FmIndex<HeaderBodyOcc>(text, [](std::span<const std::uint8_t> bwt) {
-    return HeaderBodyOcc(bwt, HeaderBodyParams{256});
-  });
-}
-template <>
-FmIndex<HuffmanRrrOcc> make_index(std::span<const std::uint8_t> text) {
-  return FmIndex<HuffmanRrrOcc>(text, [](std::span<const std::uint8_t> bwt) {
-    return HuffmanRrrOcc(bwt, RrrParams{15, 50});
-  });
-}
-
 template <typename Occ>
 class FmIndexTyped : public ::testing::Test {};
 
-using Backends = ::testing::Types<RrrWaveletOcc, PlainWaveletOcc, SampledOcc,
-                                  HeaderBodyOcc, HuffmanRrrOcc>;
+using Backends = ::testing::Types<RrrWaveletOcc, PlainWaveletOcc, SampledOcc>;
 TYPED_TEST_SUITE(FmIndexTyped, Backends);
 
 TYPED_TEST(FmIndexTyped, CountAndLocateMatchBruteForce) {
@@ -167,16 +153,12 @@ TEST(FmIndex, BackendsProduceIdenticalIntervals) {
   const auto rrr = make_index<RrrWaveletOcc>(text);
   const auto plain = make_index<PlainWaveletOcc>(text);
   const auto sampled = make_index<SampledOcc>(text);
-  const auto header_body = make_index<HeaderBodyOcc>(text);
-  const auto huffman = make_index<HuffmanRrrOcc>(text);
   Xoshiro256 rng(12);
   for (int trial = 0; trial < 100; ++trial) {
     const auto pattern = testing::random_symbols(1 + rng.below(30), 4, rng());
     const SaInterval a = rrr.count(pattern);
     ASSERT_EQ(a, plain.count(pattern));
     ASSERT_EQ(a, sampled.count(pattern));
-    ASSERT_EQ(a, header_body.count(pattern));
-    ASSERT_EQ(a, huffman.count(pattern));
   }
 }
 

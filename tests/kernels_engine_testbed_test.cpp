@@ -130,24 +130,22 @@ TEST(EngineTestbedMappers, DerivedMappersShareBaseIndexState) {
   const VectorMapper vector(cpu.index(), [](std::span<const std::uint8_t> bwt) {
     return VectorOcc(bwt);
   });
-  const PlainWaveletMapper plain(cpu.index(),
-                                 [](std::span<const std::uint8_t> bwt) {
-                                   return PlainWaveletOcc(bwt);
-                                 });
+  const EprMapper epr(cpu.index(),
+                     [](std::span<const std::uint8_t> bwt) { return EprOcc(bwt); });
   EXPECT_EQ(vector.index().size(), cpu.index().size());
 
   const auto want = cpu.map(batch);
   const auto via_vector = vector.map(batch);
-  const auto via_plain = plain.map(batch);
+  const auto via_epr = epr.map(batch);
   ASSERT_EQ(via_vector.size(), want.size());
-  ASSERT_EQ(via_plain.size(), want.size());
+  ASSERT_EQ(via_epr.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(via_vector[i].fwd_lo, want[i].fwd_lo) << i;
     EXPECT_EQ(via_vector[i].fwd_hi, want[i].fwd_hi) << i;
     EXPECT_EQ(via_vector[i].rev_lo, want[i].rev_lo) << i;
     EXPECT_EQ(via_vector[i].rev_hi, want[i].rev_hi) << i;
-    EXPECT_EQ(via_plain[i].fwd_lo, want[i].fwd_lo) << i;
-    EXPECT_EQ(via_plain[i].fwd_hi, want[i].fwd_hi) << i;
+    EXPECT_EQ(via_epr[i].fwd_lo, want[i].fwd_lo) << i;
+    EXPECT_EQ(via_epr[i].fwd_hi, want[i].fwd_hi) << i;
   }
 }
 

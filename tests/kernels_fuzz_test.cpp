@@ -124,45 +124,6 @@ TEST(OccEngineFuzz, AllEnginesAgreeWithRrrOnRankAndRank2) {
   }
 }
 
-TEST(OccEngineFuzz, VectorOccBulkRankMatchesScalarRank2) {
-  // rank2_bulk must answer exactly like per-query rank2 for every kernel,
-  // across skews and block-boundary-straddling positions — including the
-  // empty batch and single-query batches.
-  Xoshiro256 rng(4096);
-  for (const Skew& skew : kSkews) {
-    for (const std::size_t n : {std::size_t{0}, std::size_t{96}, std::size_t{192},
-                                std::size_t{193}, std::size_t{1000}}) {
-      const auto bwt = skewed_symbols(n, skew, 9000 + n);
-      for (const kernels::RankKernel& kernel : kernels::available_kernels()) {
-        const VectorOcc vec(bwt, &kernel);
-        std::vector<VectorOcc::BulkQuery> queries;
-        const auto probes = probe_positions(n, rng);
-        for (std::size_t a = 0; a < probes.size(); ++a) {
-          for (std::size_t b = a; b < probes.size(); b += 5) {
-            std::size_t i1 = probes[a], i2 = probes[b];
-            if (i1 > i2) std::swap(i1, i2);
-            queries.push_back({static_cast<std::uint32_t>(i1),
-                               static_cast<std::uint32_t>(i2),
-                               static_cast<std::uint8_t>(rng.below(4))});
-          }
-        }
-        for (const std::size_t batch : {std::size_t{0}, std::size_t{1}, queries.size()}) {
-          const std::span<const VectorOcc::BulkQuery> span(queries.data(), batch);
-          std::vector<std::pair<std::uint32_t, std::uint32_t>> out(batch);
-          vec.rank2_bulk(span, out.data());
-          for (std::size_t q = 0; q < batch; ++q) {
-            const auto want = vec.rank2(queries[q].c, queries[q].lo, queries[q].hi);
-            EXPECT_EQ(out[q].first, want.first)
-                << kernel.name << " " << skew.name << " n=" << n << " q=" << q;
-            EXPECT_EQ(out[q].second, want.second)
-                << kernel.name << " " << skew.name << " n=" << n << " q=" << q;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(OccEngineFuzz, FmIndexOccSurfaceAgreesAcrossEngines) {
   // The mapper-facing surface: occ/occ2 over the (n+1)-row BWT column with
   // the out-of-band sentinel adjustment. Each engine indexes the same text.

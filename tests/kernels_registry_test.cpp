@@ -13,13 +13,13 @@ namespace {
 
 TEST(EngineRegistry, EnumeratesEveryEngineInEnumOrder) {
   const auto specs = engines();
-  ASSERT_EQ(specs.size(), 6u);
+  ASSERT_EQ(specs.size(), 5u);
+  ASSERT_EQ(specs.size(), kMappingEngineCount);
   EXPECT_EQ(specs[0].engine, MappingEngine::kFpga);
   EXPECT_EQ(specs[1].engine, MappingEngine::kCpu);
   EXPECT_EQ(specs[2].engine, MappingEngine::kBowtie2Like);
-  EXPECT_EQ(specs[3].engine, MappingEngine::kPlainWavelet);
-  EXPECT_EQ(specs[4].engine, MappingEngine::kVector);
-  EXPECT_EQ(specs[5].engine, MappingEngine::kEpr);
+  EXPECT_EQ(specs[3].engine, MappingEngine::kVector);
+  EXPECT_EQ(specs[4].engine, MappingEngine::kEpr);
 
   std::set<std::string> names;
   for (const EngineSpec& spec : specs) {
@@ -47,9 +47,10 @@ TEST(EngineRegistry, ParseAcceptsCanonicalNamesAndAliases) {
   EXPECT_EQ(parse_engine_name("cpu"), MappingEngine::kCpu);
   EXPECT_EQ(parse_engine_name("sampled"), MappingEngine::kBowtie2Like);
   EXPECT_EQ(parse_engine_name("bowtie2like"), MappingEngine::kBowtie2Like);
-  EXPECT_EQ(parse_engine_name("plain"), MappingEngine::kPlainWavelet);
   EXPECT_EQ(parse_engine_name("vector"), MappingEngine::kVector);
   EXPECT_EQ(parse_engine_name("epr"), MappingEngine::kEpr);
+  // Retired engines are rejected like any unknown name.
+  EXPECT_FALSE(parse_engine_name("plain").has_value());
   EXPECT_FALSE(parse_engine_name("").has_value());
   EXPECT_FALSE(parse_engine_name("FPGA").has_value());
   EXPECT_FALSE(parse_engine_name("simd").has_value());

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "fmindex/approx_search.hpp"
+#include "fmindex/dna.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/genome_sim.hpp"
@@ -12,6 +14,52 @@
 namespace bwaver {
 namespace {
 
+const auto kBuilder = [](std::span<const std::uint8_t> bwt) {
+  return RrrWaveletOcc(bwt, RrrParams{15, 50});
+};
+
+/// The staged semantics run on the branch recursion (approx_count), the
+/// oracle the search schemes must reproduce: the exact stage (one interval
+/// per strand, in suffix-array order), then budgets 1..max_mismatches while
+/// the read stays unaligned (positions sorted per strand), forward strand
+/// first. `steps` (optional, one slot per stage) accumulates the slower
+/// strand's executed steps, as StageReport does.
+StagedReadResult branch_stage_read(const FmIndex<RrrWaveletOcc>& index,
+                                   std::span<const std::uint8_t> codes,
+                                   unsigned max_mismatches,
+                                   std::vector<std::uint64_t>* steps = nullptr) {
+  StagedReadResult result;
+  const auto rc = dna_reverse_complement(codes);
+  for (unsigned budget = 0; budget <= max_mismatches; ++budget) {
+    std::vector<std::uint32_t> strand_positions[2];
+    std::uint64_t strand_steps[2] = {0, 0};
+    for (int strand = 0; strand < 2; ++strand) {
+      ApproxStats stats;
+      for (const ApproxHit& hit :
+           approx_count(index, strand == 0 ? codes : std::span<const std::uint8_t>(rc),
+                        budget, &stats)) {
+        if (hit.mismatches != budget) continue;
+        for (std::uint32_t row = hit.interval.lo; row < hit.interval.hi; ++row) {
+          strand_positions[strand].push_back(index.suffix_array()[row]);
+        }
+      }
+      if (budget > 0) {
+        std::sort(strand_positions[strand].begin(), strand_positions[strand].end());
+      }
+      strand_steps[strand] = stats.steps_executed;
+    }
+    if (steps != nullptr) (*steps)[budget] += std::max(strand_steps[0], strand_steps[1]);
+    if (strand_positions[0].empty() && strand_positions[1].empty()) continue;
+    result.stage = static_cast<std::uint8_t>(budget);
+    result.reverse_strand = strand_positions[0].empty();
+    result.positions = std::move(strand_positions[0]);
+    result.positions.insert(result.positions.end(), strand_positions[1].begin(),
+                            strand_positions[1].end());
+    break;
+  }
+  return result;
+}
+
 class StagedMapperTest : public ::testing::Test {
  protected:
   StagedMapperTest() {
@@ -19,10 +67,7 @@ class StagedMapperTest : public ::testing::Test {
     config.length = 50000;
     config.seed = 600;
     genome_ = simulate_genome(config);
-    index_ = std::make_unique<FmIndex<RrrWaveletOcc>>(
-        genome_, [](std::span<const std::uint8_t> bwt) {
-          return RrrWaveletOcc(bwt, RrrParams{15, 50});
-        });
+    index_ = std::make_unique<BidirFmIndex<RrrWaveletOcc>>(genome_, kBuilder);
 
     // Reads with 0, 1 and 2 substitutions plus pure-random ones.
     Xoshiro256 rng(601);
@@ -52,7 +97,7 @@ class StagedMapperTest : public ::testing::Test {
   }
 
   std::vector<std::uint8_t> genome_;
-  std::unique_ptr<FmIndex<RrrWaveletOcc>> index_;
+  std::unique_ptr<BidirFmIndex<RrrWaveletOcc>> index_;
   ReadBatch batch_;
   std::vector<std::uint8_t> expected_stage_;
   std::vector<std::uint32_t> origins_;
@@ -142,47 +187,36 @@ TEST_F(StagedMapperTest, ExactOnlyConfigurationSkipsLaterStages) {
 }
 
 TEST_F(StagedMapperTest, SchemeModeIsByteIdenticalToBranchMode) {
-  const BidirFmIndex<RrrWaveletOcc> bidir(
-      *index_, genome_, [](std::span<const std::uint8_t> bwt) {
-        return RrrWaveletOcc(bwt, RrrParams{15, 50});
-      });
-  const StagedFpgaMapper branch(*index_);
-  const StagedFpgaMapper scheme(*index_, DeviceSpec{}, 2, ApproxMode::kScheme,
-                                &bidir);
-  StagedMapReport branch_report, scheme_report;
-  const auto branch_results = branch.map(batch_, &branch_report);
+  // The mapper's scheme stages against the staged branch recursion.
+  const StagedFpgaMapper scheme(*index_);
+  StagedMapReport scheme_report;
   const auto scheme_results = scheme.map(batch_, &scheme_report);
-  ASSERT_EQ(branch_results.size(), scheme_results.size());
-  for (std::size_t i = 0; i < branch_results.size(); ++i) {
-    ASSERT_EQ(branch_results[i].stage, scheme_results[i].stage) << "read " << i;
-    EXPECT_EQ(branch_results[i].reverse_strand, scheme_results[i].reverse_strand)
-        << "read " << i;
+  std::vector<std::uint64_t> branch_steps(3, 0);
+  ASSERT_EQ(scheme_results.size(), batch_.size());
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    const StagedReadResult branch =
+        branch_stage_read(index_->forward(), batch_.read(i), 2, &branch_steps);
+    ASSERT_EQ(branch.stage, scheme_results[i].stage) << "read " << i;
+    EXPECT_EQ(branch.reverse_strand, scheme_results[i].reverse_strand) << "read " << i;
     // Not just the same set: byte-identical vectors, thanks to the
-    // canonical per-strand ordering both modes apply.
-    ASSERT_EQ(branch_results[i].positions, scheme_results[i].positions)
-        << "read " << i;
+    // canonical per-strand ordering both apply.
+    ASSERT_EQ(branch.positions, scheme_results[i].positions) << "read " << i;
   }
   // Anchored schemes must beat branch-everywhere on executed steps in the
-  // mismatch stages (the exact stage is shared).
-  for (std::size_t s = 1; s < branch_report.stages.size(); ++s) {
-    EXPECT_LT(scheme_report.stages[s].steps_executed,
-              branch_report.stages[s].steps_executed)
-        << "stage " << s;
+  // mismatch stages.
+  ASSERT_EQ(scheme_report.stages.size(), 3u);
+  for (std::size_t s = 1; s < scheme_report.stages.size(); ++s) {
+    EXPECT_LT(scheme_report.stages[s].steps_executed, branch_steps[s]) << "stage " << s;
   }
 }
 
 TEST_F(StagedMapperTest, SchemeComparatorMatchesBranchComparator) {
-  const BidirFmIndex<RrrWaveletOcc> bidir(
-      *index_, genome_, [](std::span<const std::uint8_t> bwt) {
-        return RrrWaveletOcc(bwt, RrrParams{15, 50});
-      });
-  const auto branch = approx_map_batch(*index_, batch_, 2, 2);
-  const auto scheme = approx_map_batch(*index_, batch_, 2, 2, nullptr,
-                                       ApproxMode::kScheme, &bidir);
-  ASSERT_EQ(branch.size(), scheme.size());
-  for (std::size_t i = 0; i < branch.size(); ++i) {
-    ASSERT_EQ(branch[i].stage, scheme[i].stage) << i;
-    ASSERT_EQ(branch[i].positions, scheme[i].positions) << i;
+  const auto scheme = approx_map_batch(*index_, batch_, 2, 2);
+  ASSERT_EQ(scheme.size(), batch_.size());
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    const StagedReadResult branch = branch_stage_read(index_->forward(), batch_.read(i), 2);
+    ASSERT_EQ(branch.stage, scheme[i].stage) << i;
+    ASSERT_EQ(branch.positions, scheme[i].positions) << i;
   }
 }
 
@@ -202,9 +236,7 @@ TEST(StagedMapper, HitCapTruncatesAndCountsReads) {
       genome.push_back(static_cast<std::uint8_t>(rng.below(4)));
     }
   }
-  const FmIndex<RrrWaveletOcc> index(genome, [](std::span<const std::uint8_t> bwt) {
-    return RrrWaveletOcc(bwt, RrrParams{15, 50});
-  });
+  const BidirFmIndex<RrrWaveletOcc> index(genome, kBuilder);
   ReadBatch batch;
   batch.add(read);
 
@@ -217,8 +249,7 @@ TEST(StagedMapper, HitCapTruncatesAndCountsReads) {
     EXPECT_EQ(stage.truncated_reads, 0u);
   }
 
-  const StagedFpgaMapper capped(index, DeviceSpec{}, 2, ApproxMode::kBranch,
-                                nullptr, /*hit_cap=*/1);
+  const StagedFpgaMapper capped(index, DeviceSpec{}, 2, /*hit_cap=*/1);
   StagedMapReport report;
   const auto results = capped.map(batch, &report);
   // Stage assignment is unaffected; only the loci list shrinks.
@@ -242,41 +273,17 @@ TEST_F(StagedMapperTest, ApproxCountersMoveUnderAmbientMetrics) {
     expected_pruned += report.stages[s].branches_pruned;
     expected_hits += report.stages[s].hits;
   }
-  const obs::Labels labels{{"approx_mode", "branch"}};
-  EXPECT_GT(registry.counter("bwaver_approx_steps_total", "", labels).value(), 0u);
-  EXPECT_EQ(registry.counter("bwaver_approx_pruned_total", "", labels).value(),
-            expected_pruned);
-  EXPECT_EQ(registry.counter("bwaver_approx_hits_total", "", labels).value(),
-            expected_hits);
+  EXPECT_GT(registry.counter("bwaver_approx_steps_total", "").value(), 0u);
+  EXPECT_EQ(registry.counter("bwaver_approx_pruned_total", "").value(), expected_pruned);
+  EXPECT_EQ(registry.counter("bwaver_approx_hits_total", "").value(), expected_hits);
 }
 
 TEST(StagedMapper, RejectsMoreThanTwoMismatches) {
   GenomeSimConfig config;
   config.length = 1000;
   const auto genome = simulate_genome(config);
-  const FmIndex<RrrWaveletOcc> index(genome, [](std::span<const std::uint8_t> bwt) {
-    return RrrWaveletOcc(bwt, RrrParams{15, 50});
-  });
+  const BidirFmIndex<RrrWaveletOcc> index(genome, kBuilder);
   EXPECT_THROW(StagedFpgaMapper(index, DeviceSpec{}, 3), std::invalid_argument);
-}
-
-TEST(StagedMapper, SchemeModeRequiresMatchingBidirIndex) {
-  GenomeSimConfig config;
-  config.length = 1000;
-  const auto genome = simulate_genome(config);
-  const auto builder = [](std::span<const std::uint8_t> bwt) {
-    return RrrWaveletOcc(bwt, RrrParams{15, 50});
-  };
-  const FmIndex<RrrWaveletOcc> index(genome, builder);
-  EXPECT_THROW(
-      StagedFpgaMapper(index, DeviceSpec{}, 2, ApproxMode::kScheme, nullptr),
-      std::invalid_argument);
-  // A bidirectional index over a DIFFERENT forward index is rejected too.
-  const FmIndex<RrrWaveletOcc> other(genome, builder);
-  const BidirFmIndex<RrrWaveletOcc> other_bidir(other, genome, builder);
-  EXPECT_THROW(
-      StagedFpgaMapper(index, DeviceSpec{}, 2, ApproxMode::kScheme, &other_bidir),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -162,8 +162,8 @@ TEST_P(SweepEngineTest, RandomizedBatchSizesIncludingEmptyAndSingle) {
 INSTANTIATE_TEST_SUITE_P(
     AllEngines, SweepEngineTest,
     ::testing::Values(MappingEngine::kFpga, MappingEngine::kCpu,
-                      MappingEngine::kBowtie2Like, MappingEngine::kPlainWavelet,
-                      MappingEngine::kVector),
+                      MappingEngine::kBowtie2Like, MappingEngine::kVector,
+                      MappingEngine::kEpr),
     [](const ::testing::TestParamInfo<MappingEngine>& info) {
       return std::string(kernels::engine_spec(info.param).name);
     });
