@@ -5,9 +5,10 @@
 // Short reads are the table's sweet spot: with the default k = 12, a 36 bp
 // read skips a third of its backward-search steps — and precisely the wide
 // early intervals whose two occ lookups land in distant superblocks, the
-// most expensive steps of the search. The bench reports reads/sec for both
-// paths and their ratio; CI holds the ratio above the floor in
-// bench/baseline.json.
+// most expensive steps of the search. The bench runs interleaved trials of
+// both paths and reports the median reads/sec of each and the median of the
+// per-trial ratios with its range; CI holds the median ratio above the floor
+// in bench/baseline.json.
 #include <cstdio>
 #include <memory>
 
@@ -27,30 +28,20 @@ namespace {
 using namespace bwaver;
 using namespace bwaver::bench;
 
-constexpr int kRepetitions = 3;
+constexpr int kTrials = 7;
 
 /// One timed pass over the batch: the per-read two-strand exact search.
 /// Returns wall ms; folds every interval into `checksum` so the seeded and
 /// unseeded passes can be cross-checked (and the loop cannot be elided).
 double time_pass(const FmIndex<RrrWaveletOcc>& index, const ReadBatch& batch,
                  std::uint64_t& checksum) {
+  checksum = 0;
   WallTimer timer;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto [fwd, rev] = index.count_both_strands(batch.read(i));
     checksum += fwd.lo + fwd.hi + rev.lo + rev.hi;
   }
   return timer.milliseconds();
-}
-
-double best_of(const FmIndex<RrrWaveletOcc>& index, const ReadBatch& batch,
-               std::uint64_t& checksum) {
-  double best = 0.0;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    checksum = 0;
-    const double ms = time_pass(index, batch, checksum);
-    if (rep == 0 || ms < best) best = ms;
-  }
-  return best;
 }
 
 }  // namespace
@@ -85,23 +76,31 @@ int main(int argc, char** argv) {
               batch.size(), rconfig.read_length, k,
               static_cast<double>(table->size_in_bytes()) / (1024.0 * 1024.0),
               table_build_ms);
+  std::printf("%d interleaved trials; medians, speedup = median per-trial ratio\n", kTrials);
   std::printf("%-10s %12s %12s %9s\n", "path", "wall [ms]", "reads/s", "speedup");
 
-  index.set_seed_table(nullptr);
-  std::uint64_t unseeded_sum = 0;
-  const double unseeded_ms = best_of(index, batch, unseeded_sum);
-  const double unseeded_rps =
-      1000.0 * static_cast<double>(batch.size()) / unseeded_ms;
-  std::printf("%-10s %12.1f %12.0f %9s\n", "unseeded", unseeded_ms, unseeded_rps,
-              "1.00x");
-
+  std::uint64_t unseeded_sum = 0, seeded_sum = 0;
+  const InterleavedTrials trials = interleaved_trials(
+      kTrials,
+      [&] {
+        index.set_seed_table(nullptr);
+        return time_pass(index, batch, unseeded_sum);
+      },
+      [&] {
+        index.set_seed_table(table);
+        return time_pass(index, batch, seeded_sum);
+      });
   index.set_seed_table(table);
-  std::uint64_t seeded_sum = 0;
-  const double seeded_ms = best_of(index, batch, seeded_sum);
-  const double seeded_rps = 1000.0 * static_cast<double>(batch.size()) / seeded_ms;
-  const double speedup = unseeded_ms / (seeded_ms > 0.0 ? seeded_ms : 1.0);
-  std::printf("%-10s %12.1f %12.0f %8.2fx\n", "seeded", seeded_ms, seeded_rps,
-              speedup);
+  const TrialSummary unseeded_ms = summarize(trials.a_ms);
+  const TrialSummary seeded_ms = summarize(trials.b_ms);
+  const TrialSummary speedup = summarize(trials.ratio);
+  const double num_reads = static_cast<double>(batch.size());
+  const double unseeded_rps = 1000.0 * num_reads / unseeded_ms.median;
+  const double seeded_rps = 1000.0 * num_reads / seeded_ms.median;
+  std::printf("%-10s %12.1f %12.0f %9s\n", "unseeded", unseeded_ms.median, unseeded_rps,
+              "1.00x");
+  std::printf("%-10s %12.1f %12.0f %8.2fx  (trials %.2f-%.2fx)\n", "seeded",
+              seeded_ms.median, seeded_rps, speedup.median, speedup.lo, speedup.hi);
 
   if (seeded_sum != unseeded_sum) {
     std::printf("!! seeded/unseeded interval checksum mismatch (%llu vs %llu)\n",
@@ -135,7 +134,10 @@ int main(int argc, char** argv) {
   report.metric("seed_k", k);
   report.metric("unseeded_reads_per_sec", unseeded_rps);
   report.metric("seeded_reads_per_sec", seeded_rps);
-  report.metric("speedup", speedup);
+  report.metric("trials", kTrials);
+  report.metric("speedup", speedup.median);
+  report.metric("speedup_lo", speedup.lo);
+  report.metric("speedup_hi", speedup.hi);
   report.metric("seed_ms", outcome.stages.seed_ms);
   report.metric("search_ms", outcome.stages.search_ms);
   report.metric("locate_ms", outcome.stages.locate_ms);

@@ -8,10 +8,12 @@
 // independent rank lookups whose line fetches overlap — and backends with
 // address-computable storage (vector, sampled) pull their lines in early
 // through a software-prefetch lookahead. The rrr engine has no
-// prefetchable layout and is decode-bound, so it sits near 1.0x and is
-// reported but not enforced. Both orders produce identical QueryResults
-// (cross-checked here); CI holds the vector-engine speedup above the
-// sweep_vs_per_read_speedup_min floor in bench/baseline.json.
+// prefetchable layout; its row is reported but not enforced. Both orders
+// produce identical QueryResults (cross-checked here). Each engine runs
+// interleaved per-read/sweep trials; the speedup is the median of the
+// per-trial ratios, reported with its range, and CI holds the
+// vector-engine median above the sweep_vs_per_read_speedup_min floor in
+// bench/baseline.json.
 #include <cstdio>
 #include <vector>
 
@@ -31,7 +33,7 @@ namespace {
 using namespace bwaver;
 using namespace bwaver::bench;
 
-constexpr int kRepetitions = 3;
+constexpr int kTrials = 7;
 
 std::uint64_t result_checksum(const std::vector<QueryResult>& results) {
   std::uint64_t sum = 0;
@@ -41,53 +43,51 @@ std::uint64_t result_checksum(const std::vector<QueryResult>& results) {
   return sum;
 }
 
-/// Best-of-N wall time of one search mode over the whole batch (single
-/// thread: the per-core effect is what the scheduler changes; sharding
-/// multiplies both modes equally). Returns ms, fills checksum + stats.
+/// Wall time of one search mode over the whole batch (single thread: the
+/// per-core effect is what the scheduler changes; sharding multiplies both
+/// modes equally). Returns ms, fills checksum + stats.
 template <typename Occ>
-double best_of(const FmIndex<Occ>& index, const ReadBatch& batch, SearchMode mode,
-               std::uint64_t& checksum, SweepStats& stats) {
-  double best = 0.0;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    SoftwareMapReport report;
-    WallTimer timer;
-    const auto results =
-        mode == SearchMode::kSweep
-            ? detail::sweep_map_batch(index, batch, /*threads=*/1, &report)
-            : detail::map_batch(index, batch, /*threads=*/1, &report);
-    const double ms = timer.milliseconds();
-    checksum = result_checksum(results);
-    stats = report.sweep;
-    if (rep == 0 || ms < best) best = ms;
-  }
-  return best;
+double time_pass(const FmIndex<Occ>& index, const ReadBatch& batch, SearchMode mode,
+                 std::uint64_t& checksum, SweepStats& stats) {
+  SoftwareMapReport report;
+  WallTimer timer;
+  const auto results = mode == SearchMode::kSweep
+                           ? detail::sweep_map_batch(index, batch, /*threads=*/1, &report)
+                           : detail::map_batch(index, batch, /*threads=*/1, &report);
+  const double ms = timer.milliseconds();
+  checksum = result_checksum(results);
+  stats = report.sweep;
+  return ms;
 }
 
 struct ModeRow {
-  double per_read_ms = 0.0;
-  double sweep_ms = 0.0;
-  double speedup = 0.0;
+  TrialSummary per_read_ms;
+  TrialSummary sweep_ms;
+  TrialSummary speedup;
 };
 
 template <typename Occ>
 ModeRow run_engine(const char* name, const FmIndex<Occ>& index,
                    const ReadBatch& batch) {
-  ModeRow row;
   std::uint64_t per_read_sum = 0, sweep_sum = 0;
   SweepStats ignored, stats;
-  row.per_read_ms = best_of(index, batch, SearchMode::kPerRead, per_read_sum, ignored);
-  row.sweep_ms = best_of(index, batch, SearchMode::kSweep, sweep_sum, stats);
-  row.speedup = row.per_read_ms / (row.sweep_ms > 0.0 ? row.sweep_ms : 1.0);
+  const InterleavedTrials trials = interleaved_trials(
+      kTrials,
+      [&] { return time_pass(index, batch, SearchMode::kPerRead, per_read_sum, ignored); },
+      [&] { return time_pass(index, batch, SearchMode::kSweep, sweep_sum, stats); });
   if (per_read_sum != sweep_sum) {
     std::printf("!! %s: per-read/sweep result checksum mismatch (%llu vs %llu)\n",
                 name, static_cast<unsigned long long>(per_read_sum),
                 static_cast<unsigned long long>(sweep_sum));
     std::exit(1);
   }
+  ModeRow row{summarize(trials.a_ms), summarize(trials.b_ms), summarize(trials.ratio)};
   const double reads_per_sec =
-      1000.0 * static_cast<double>(batch.size()) / row.sweep_ms;
-  std::printf("%-8s %12.1f %12.1f %8.2fx %12.0f   (passes %llu, peak %llu)\n",
-              name, row.per_read_ms, row.sweep_ms, row.speedup, reads_per_sec,
+      1000.0 * static_cast<double>(batch.size()) / row.sweep_ms.median;
+  std::printf("%-8s %12.1f %12.1f %8.2fx %12.0f   (trials %.2f-%.2fx, passes %llu, "
+              "peak %llu)\n",
+              name, row.per_read_ms.median, row.sweep_ms.median, row.speedup.median,
+              reads_per_sec, row.speedup.lo, row.speedup.hi,
               static_cast<unsigned long long>(stats.passes),
               static_cast<unsigned long long>(stats.peak_active));
   return row;
@@ -121,6 +121,7 @@ int main(int argc, char** argv) {
   std::printf("%zu reads of %u bp, seed k = %u\n\n", batch.size(),
               rconfig.read_length, index.seed_table()->k());
 
+  std::printf("%d interleaved trials; medians, speedup = median per-trial ratio\n", kTrials);
   std::printf("%-8s %12s %12s %9s %12s\n", "engine", "per-read[ms]", "sweep[ms]",
               "speedup", "reads/s");
   const ModeRow rrr = run_engine("rrr", index, batch);
@@ -132,12 +133,17 @@ int main(int argc, char** argv) {
 
   JsonReport report("bench_sweep_search", setup.json);
   report.metric("reads", static_cast<double>(batch.size()));
-  report.metric("per_read_ms_rrr", rrr.per_read_ms);
-  report.metric("sweep_ms_rrr", rrr.sweep_ms);
-  report.metric("sweep_vs_per_read_speedup_rrr", rrr.speedup);
-  report.metric("per_read_ms_vector", vector.per_read_ms);
-  report.metric("sweep_ms_vector", vector.sweep_ms);
-  report.metric("sweep_vs_per_read_speedup", vector.speedup);
+  report.metric("trials", kTrials);
+  report.metric("per_read_ms_rrr", rrr.per_read_ms.median);
+  report.metric("sweep_ms_rrr", rrr.sweep_ms.median);
+  report.metric("sweep_vs_per_read_speedup_rrr", rrr.speedup.median);
+  report.metric("sweep_vs_per_read_speedup_rrr_lo", rrr.speedup.lo);
+  report.metric("sweep_vs_per_read_speedup_rrr_hi", rrr.speedup.hi);
+  report.metric("per_read_ms_vector", vector.per_read_ms.median);
+  report.metric("sweep_ms_vector", vector.sweep_ms.median);
+  report.metric("sweep_vs_per_read_speedup", vector.speedup.median);
+  report.metric("sweep_vs_per_read_speedup_lo", vector.speedup.lo);
+  report.metric("sweep_vs_per_read_speedup_hi", vector.speedup.hi);
   report.emit();
   return 0;
 }

@@ -6,6 +6,7 @@
 // with the paper's own numbers printed alongside for comparison.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -61,6 +62,53 @@ class JsonReport {
   bool enabled_;
   std::vector<std::pair<std::string, double>> metrics_;
 };
+
+/// Median and range of repeated trials. Ratio gates read the median, so
+/// one trial slowed by a neighbour on a shared box cannot flip them.
+struct TrialSummary {
+  double median = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+inline TrialSummary summarize(std::vector<double> samples) {
+  TrialSummary summary;
+  if (samples.empty()) return summary;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  summary.median = n % 2 == 1 ? samples[n / 2] : (samples[n / 2 - 1] + samples[n / 2]) / 2.0;
+  summary.lo = samples.front();
+  summary.hi = samples.back();
+  return summary;
+}
+
+/// Wall times (ms) of `trials` interleaved runs of two timed passes. The
+/// pass that goes first alternates, so warm-up and frequency drift land on
+/// both sides; ratio[i] = a[i] / b[i] pairs the two passes of one trial.
+struct InterleavedTrials {
+  std::vector<double> a_ms;
+  std::vector<double> b_ms;
+  std::vector<double> ratio;
+};
+
+template <typename PassA, typename PassB>
+InterleavedTrials interleaved_trials(int trials, PassA&& pass_a, PassB&& pass_b) {
+  InterleavedTrials out;
+  for (int trial = 0; trial < trials; ++trial) {
+    double a = 0.0, b = 0.0;
+    if (trial % 2 == 0) {
+      a = pass_a();
+      b = pass_b();
+    } else {
+      b = pass_b();
+      a = pass_a();
+    }
+    out.a_ms.push_back(a);
+    out.b_ms.push_back(b);
+    out.ratio.push_back(a / (b > 0.0 ? b : 1.0));
+  }
+  return out;
+}
 
 inline std::size_t scaled(std::size_t paper_value, double scale) {
   const auto value = static_cast<std::size_t>(static_cast<double>(paper_value) * scale);

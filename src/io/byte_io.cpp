@@ -43,12 +43,14 @@ void ByteWriter::str(const std::string& s) {
 }
 
 void ByteWriter::raw_u32(std::span<const std::uint32_t> data) {
+  if (data.empty()) return;  // an empty array may have no storage at all
   const std::size_t old = buffer_.size();
   buffer_.resize(old + data.size_bytes());
   std::memcpy(buffer_.data() + old, data.data(), data.size_bytes());
 }
 
 void ByteWriter::raw_u64(std::span<const std::uint64_t> data) {
+  if (data.empty()) return;  // an empty array may have no storage at all
   const std::size_t old = buffer_.size();
   buffer_.resize(old + data.size_bytes());
   std::memcpy(buffer_.data() + old, data.data(), data.size_bytes());
@@ -90,6 +92,7 @@ std::uint64_t ByteReader::u64() {
 
 void ByteReader::bytes(std::span<std::uint8_t> out) {
   need(out.size());
+  if (out.empty()) return;  // an empty span may have no storage at all
   std::memcpy(out.data(), data_.data() + pos_, out.size());
   pos_ += out.size();
 }

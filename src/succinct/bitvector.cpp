@@ -29,18 +29,6 @@ void BitVector::append_bits(std::uint64_t bits, unsigned width) {
   size_ += width;
 }
 
-std::uint64_t BitVector::get_bits(std::size_t pos, unsigned width) const noexcept {
-  if (width == 0) return 0;
-  const std::size_t word = pos >> 6;
-  const unsigned shift = pos & 63;
-  std::uint64_t value = words_[word] >> shift;
-  if (shift + width > 64) {
-    value |= words_[word + 1] << (64 - shift);
-  }
-  if (width < 64) value &= (std::uint64_t{1} << width) - 1;
-  return value;
-}
-
 std::size_t BitVector::count_ones() const noexcept {
   std::size_t total = 0;
   for (std::uint64_t word : words_) total += static_cast<std::size_t>(popcount64(word));

@@ -49,7 +49,17 @@ class BitVector {
 
   /// Reads `width` bits starting at bit position `pos`, LSB first
   /// (width <= 64, pos + width <= size()).
-  std::uint64_t get_bits(std::size_t pos, unsigned width) const noexcept;
+  std::uint64_t get_bits(std::size_t pos, unsigned width) const noexcept {
+    if (width == 0) return 0;
+    const std::size_t word = pos >> 6;
+    const unsigned shift = pos & 63;
+    std::uint64_t value = words_[word] >> shift;
+    if (shift + width > 64) {
+      value |= words_[word + 1] << (64 - shift);
+    }
+    if (width < 64) value &= (std::uint64_t{1} << width) - 1;
+    return value;
+  }
 
   /// Number of 1s in the whole vector (linear scan).
   std::size_t count_ones() const noexcept;

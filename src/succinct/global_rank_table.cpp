@@ -31,6 +31,16 @@ GlobalRankTable::GlobalRankTable(unsigned b) : b_(b) {
     permutations_[index] = static_cast<std::uint16_t>(value);
     offset_of_[value] = static_cast<std::uint16_t>(index - class_offsets_[c]);
   }
+
+  // Host-side scan tables: offset width per 4-bit class field (0 past b),
+  // and per class byte the packed sums of its two fields.
+  for (unsigned c = 0; c < widths_.size(); ++c) {
+    widths_[c] = static_cast<std::uint8_t>(binom.offset_width(b, c));
+  }
+  for (unsigned byte = 0; byte < pair_sums_.size(); ++byte) {
+    const unsigned lo = byte & 15, hi = byte >> 4;
+    pair_sums_[byte] = (lo + hi) | static_cast<std::uint64_t>(widths_[lo] + widths_[hi]) << 32;
+  }
 }
 
 std::uint32_t GlobalRankTable::offset_of_by_search(std::uint16_t block) const noexcept {

@@ -11,8 +11,12 @@
 // For construction we additionally keep the inverse mapping
 // block value -> offset inside its class; the FPGA never needs it (encoding
 // happens on the host), so it is not counted in the device memory model.
+// The same holds for the two host-side scan tables: the per-class offset
+// widths and the 256-entry pair table that lets the software rank sum two
+// 4-bit class fields per lookup (the hardware sums them in an adder tree).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -48,10 +52,15 @@ class GlobalRankTable {
   /// (the scan is O(C(b, c)) per block).
   std::uint32_t offset_of_by_search(std::uint16_t block) const noexcept;
 
-  /// Width in bits of the offset field for class `c`: ceil(log2(C(b,c))).
-  unsigned offset_width(unsigned c) const noexcept {
-    return BinomialTable::instance().offset_width(b_, c);
-  }
+  /// Width in bits of the offset field for class `c`: ceil(log2(C(b,c))),
+  /// 0 for c > b. `c` must be a 4-bit class field (c < 16).
+  unsigned offset_width(unsigned c) const noexcept { return widths_[c]; }
+
+  /// Class sum and offset-width sum of one byte of the class array (two
+  /// 4-bit class fields, low nibble first), packed as
+  /// `classes | widths << 32`. A zero field is class 0 of width 0, so a
+  /// scan may zero the fields it skips: they add nothing.
+  const std::array<std::uint64_t, 256>& pair_sums() const noexcept { return pair_sums_; }
 
   /// Bytes the device-resident part occupies: 2^b 16-bit permutations plus
   /// b+1 32-bit class offsets. Matches the 2^{b+1} + 4(b+1) terms of the
@@ -68,6 +77,8 @@ class GlobalRankTable {
   std::vector<std::uint16_t> permutations_;   // 2^b entries, class-major
   std::vector<std::uint32_t> class_offsets_;  // b+1 entries
   std::vector<std::uint16_t> offset_of_;      // 2^b entries (host-only)
+  std::array<std::uint8_t, 16> widths_{};     // per class field (host-only)
+  std::array<std::uint64_t, 256> pair_sums_{};  // per class byte (host-only)
 };
 
 }  // namespace bwaver

@@ -29,6 +29,9 @@ class IntVector {
 
   std::uint64_t operator[](std::size_t i) const noexcept { return get(i); }
 
+  /// The packed words, LSB-first: entry i starts at bit i * width().
+  const std::uint64_t* words() const noexcept { return words_.data(); }
+
   /// Payload bytes (wherever they live — heap or mapped archive).
   std::size_t size_in_bytes() const noexcept { return words_.bytes(); }
 

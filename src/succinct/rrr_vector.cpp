@@ -53,104 +53,95 @@ RrrVector::RrrVector(const BitVector& bv, RrrParams params)
   total_ones_ = running_ones;
 }
 
+namespace {
+
+/// 4-bit class field `i` of the class array (16 fields per word, LSB first).
+unsigned class_field(const std::uint64_t* words, std::size_t i) noexcept {
+  return static_cast<unsigned>(words[i >> 4] >> ((i & 15) * 4)) & 15;
+}
+
+}  // namespace
+
+RrrVector::ClassSums RrrVector::scan_classes(std::size_t first,
+                                             std::size_t last) const noexcept {
+  const std::uint64_t* words = classes_.words();
+  const auto& pairs = table_->pair_sums();
+  // Packed like the pair table: ones in the low 32 bits, offset bits above.
+  // Neither half can carry: ones <= N < 2^31 and offset bits fit offset_sum.
+  std::uint64_t sum = 0;
+  // Every word holding a field of [first, last), with the fields outside
+  // the range zeroed: a zero field is class 0, which adds nothing.
+  const std::size_t end_word = (last + 15) >> 4;
+  for (std::size_t w = first >> 4; w < end_word; ++w) {
+    std::uint64_t word = words[w];
+    if (w == (last >> 4)) word &= (std::uint64_t{1} << ((last & 15) * 4)) - 1;
+    if (w == (first >> 4)) word >>= (first & 15) * 4;
+    for (unsigned k = 0; k < 64; k += 8) sum += pairs[(word >> k) & 0xFF];
+  }
+  return {static_cast<std::size_t>(sum & 0xFFFFFFFFu), static_cast<std::size_t>(sum >> 32)};
+}
+
+std::uint16_t RrrVector::decode_block(std::size_t block,
+                                      std::size_t offset_pos) const noexcept {
+  const unsigned cls = class_field(classes_.words(), block);
+  const std::uint64_t off = offsets_.get_bits(offset_pos, table_->offset_width(cls));
+  return table_->permutation(table_->class_offset(cls) + static_cast<std::uint32_t>(off));
+}
+
 std::size_t RrrVector::rank1(std::size_t p) const noexcept {
   const unsigned b = params_.block_bits;
   const unsigned sf = params_.superblock_factor;
-  const std::size_t super = p / (static_cast<std::size_t>(sf) * b);
+  // N < 2^31 (checked on construction): 32-bit division is enough.
+  const std::uint32_t last_block = static_cast<std::uint32_t>(p) / b;
+  const unsigned rem = static_cast<unsigned>(p) - last_block * b;
+  const std::size_t super = last_block / sf;
   if (super >= partial_sum_.size()) {
     // Only reachable when p == size() lands exactly on a superblock
     // boundary (or the vector is empty).
     return total_ones_;
   }
-  std::size_t count = partial_sum_[super];
-  const std::size_t first_block = super * sf;
-  const std::size_t last_block = p / b;
-  const unsigned rem = static_cast<unsigned>(p % b);
-
-  if (rem == 0) {
-    for (std::size_t i = first_block; i < last_block; ++i) {
-      count += classes_.get(i);
-    }
-    return count;
-  }
-
-  std::size_t offset_pos = offset_sum_[super];
-  for (std::size_t i = first_block; i < last_block; ++i) {
-    const unsigned cls = static_cast<unsigned>(classes_.get(i));
-    count += cls;
-    offset_pos += table_->offset_width(cls);
-  }
-  const unsigned cls = static_cast<unsigned>(classes_.get(last_block));
-  const std::uint64_t off = offsets_.get_bits(offset_pos, table_->offset_width(cls));
-  const std::uint16_t block_value =
-      table_->permutation(table_->class_offset(cls) + static_cast<std::uint32_t>(off));
-  count += static_cast<std::size_t>(rank_in_word(block_value, rem));
-  return count;
+  const ClassSums sums = scan_classes(super * sf, last_block);
+  const std::size_t count = partial_sum_[super] + sums.ones;
+  if (rem == 0) return count;
+  const std::uint16_t value = decode_block(last_block, offset_sum_[super] + sums.offset_bits);
+  return count + static_cast<std::size_t>(rank_in_word(value, rem));
 }
 
 std::pair<std::size_t, std::size_t> RrrVector::rank1_pair(
     std::size_t p1, std::size_t p2) const noexcept {
   const unsigned b = params_.block_bits;
   const unsigned sf = params_.superblock_factor;
-  const std::size_t super_span = static_cast<std::size_t>(sf) * b;
-  const std::size_t super = p1 / super_span;
-  if (p1 > p2 || super != p2 / super_span || super >= partial_sum_.size()) {
+  const std::uint32_t block1 = static_cast<std::uint32_t>(p1) / b;
+  const std::uint32_t block2 = static_cast<std::uint32_t>(p2) / b;
+  const std::size_t super = block1 / sf;
+  if (p1 > p2 || super != block2 / sf || super >= partial_sum_.size()) {
     return {rank1(p1), rank1(p2)};
   }
 
-  const std::size_t block1 = p1 / b;
-  const std::size_t block2 = p2 / b;
-  const unsigned rem1 = static_cast<unsigned>(p1 % b);
-  const unsigned rem2 = static_cast<unsigned>(p2 % b);
+  // One scan from the superblock start to block2, split at block1.
+  const ClassSums head = scan_classes(super * sf, block1);
+  const ClassSums gap = scan_classes(block1, block2);
+  const std::size_t count1 = partial_sum_[super] + head.ones;
+  const std::size_t offset_pos1 = offset_sum_[super] + head.offset_bits;
 
-  // One scan from the superblock start to block2, capturing the running
-  // state as it passes block1.
-  std::size_t count = partial_sum_[super];
-  std::size_t offset_pos = offset_sum_[super];
-  std::size_t count1 = count;
-  std::size_t offset_pos1 = offset_pos;
-  for (std::size_t i = super * sf; i < block2; ++i) {
-    if (i == block1) {
-      count1 = count;
-      offset_pos1 = offset_pos;
-    }
-    const unsigned cls = static_cast<unsigned>(classes_.get(i));
-    count += cls;
-    offset_pos += table_->offset_width(cls);
-  }
-  if (block1 == block2) {
-    count1 = count;
-    offset_pos1 = offset_pos;
-  }
-
-  const auto finish = [&](std::size_t block, std::size_t pos, unsigned rem,
+  const auto finish = [&](std::uint32_t block, std::size_t pos, std::size_t p,
                           std::size_t base) {
+    const unsigned rem = static_cast<unsigned>(p) - block * b;
     if (rem == 0) return base;
-    const unsigned cls = static_cast<unsigned>(classes_.get(block));
-    const std::uint64_t off = offsets_.get_bits(pos, table_->offset_width(cls));
-    const std::uint16_t value =
-        table_->permutation(table_->class_offset(cls) + static_cast<std::uint32_t>(off));
-    return base + static_cast<std::size_t>(rank_in_word(value, rem));
+    return base + static_cast<std::size_t>(rank_in_word(decode_block(block, pos), rem));
   };
-  return {finish(block1, offset_pos1, rem1, count1),
-          finish(block2, offset_pos, rem2, count)};
+  return {finish(block1, offset_pos1, p1, count1),
+          finish(block2, offset_pos1 + gap.offset_bits, p2, count1 + gap.ones)};
 }
 
 bool RrrVector::access(std::size_t i) const noexcept {
   const unsigned b = params_.block_bits;
-  const unsigned sf = params_.superblock_factor;
-  const std::size_t block = i / b;
-  const std::size_t super = block / sf;
-
-  std::size_t offset_pos = offset_sum_[super];
-  for (std::size_t j = super * sf; j < block; ++j) {
-    offset_pos += table_->offset_width(static_cast<unsigned>(classes_.get(j)));
-  }
-  const unsigned cls = static_cast<unsigned>(classes_.get(block));
-  const std::uint64_t off = offsets_.get_bits(offset_pos, table_->offset_width(cls));
-  const std::uint16_t block_value =
-      table_->permutation(table_->class_offset(cls) + static_cast<std::uint32_t>(off));
-  return (block_value >> (i % b)) & 1;
+  const std::uint32_t block = static_cast<std::uint32_t>(i) / b;
+  const std::size_t super = block / params_.superblock_factor;
+  const std::size_t offset_pos =
+      offset_sum_[super] +
+      scan_classes(super * params_.superblock_factor, block).offset_bits;
+  return (decode_block(block, offset_pos) >> (static_cast<unsigned>(i) - block * b)) & 1;
 }
 
 std::size_t RrrVector::select1(std::size_t k) const {
@@ -174,9 +165,7 @@ std::size_t RrrVector::select1(std::size_t k) const {
   for (std::size_t block = lo * sf; block < classes_.size(); ++block) {
     const unsigned cls = static_cast<unsigned>(classes_.get(block));
     if (remaining < cls) {
-      const std::uint64_t off = offsets_.get_bits(offset_pos, table_->offset_width(cls));
-      const std::uint16_t value = table_->permutation(
-          table_->class_offset(cls) + static_cast<std::uint32_t>(off));
+      const std::uint16_t value = decode_block(block, offset_pos);
       return block * b +
              static_cast<std::size_t>(select_in_word(value, static_cast<unsigned>(remaining)));
     }
@@ -215,9 +204,7 @@ std::size_t RrrVector::select0(std::size_t k) const {
     const unsigned cls = static_cast<unsigned>(classes_.get(block));
     const unsigned zeros = width - cls;
     if (remaining < zeros) {
-      const std::uint64_t off = offsets_.get_bits(offset_pos, table_->offset_width(cls));
-      const std::uint16_t value = table_->permutation(
-          table_->class_offset(cls) + static_cast<std::uint32_t>(off));
+      const std::uint16_t value = decode_block(block, offset_pos);
       // Select within the inverted block, masked to its width.
       std::uint64_t inverted = ~static_cast<std::uint64_t>(value);
       inverted &= (width == 64) ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);

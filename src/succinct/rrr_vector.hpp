@@ -15,7 +15,10 @@
 // rank1(p) costs O(sf): one superblock lookup plus a scan of at most sf
 // class fields, plus a single Global-Rank-Table lookup for the trailing
 // partial block. The hardware implementation turns the class scan into an
-// adder tree; the software here is the faithful sequential version.
+// adder tree; the software analogue here is table-driven: each lookup in the
+// table's 256-entry pair table sums two class fields and their offset widths
+// at once, so a scan reads each class word (16 fields) once and costs eight
+// lookups per word.
 #pragma once
 
 #include <cstddef>
@@ -115,6 +118,16 @@ class RrrVector {
   static RrrVector load_flat(ByteReader& reader, bool adopt);
 
  private:
+  /// Ones and offset-field bits of blocks [first, last), first <= last.
+  struct ClassSums {
+    std::size_t ones;
+    std::size_t offset_bits;
+  };
+  ClassSums scan_classes(std::size_t first, std::size_t last) const noexcept;
+
+  /// b-bit value of `block`, whose offset field starts at `offset_pos`.
+  std::uint16_t decode_block(std::size_t block, std::size_t offset_pos) const noexcept;
+
   RrrParams params_{};
   std::size_t n_ = 0;
   std::size_t total_ones_ = 0;

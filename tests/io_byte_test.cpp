@@ -142,6 +142,15 @@ TEST(ByteIo, PadAndAlignRoundTripFlatArrays) {
   EXPECT_TRUE(reader.done());
 }
 
+TEST(ByteIo, RawArraysWithNoStorageWriteNothing) {
+  // An empty vector may have no storage (data() == nullptr), e.g. the RRR
+  // offset bits when every block class has a single member (b = 1).
+  ByteWriter writer;
+  writer.raw_u32(std::vector<std::uint32_t>{});
+  writer.raw_u64(std::vector<std::uint64_t>{});
+  EXPECT_EQ(writer.size(), 0u);
+}
+
 TEST(ByteIo, MisalignedSpanThrows) {
   ByteWriter writer;
   writer.u8(1);  // position 1: not 4-byte aligned

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <vector>
+
+#include "io/byte_io.hpp"
 #include "succinct/global_rank_table.hpp"
 #include "test_util.hpp"
 #include "util/bits.hpp"
@@ -34,7 +39,9 @@ TEST_P(GlobalRankTableParam, PermutationsSortedByClassThenValue) {
     const unsigned cls = static_cast<unsigned>(popcount64(value));
     if (i > 0) {
       ASSERT_GE(cls, prev_class);
-      if (cls == prev_class) ASSERT_GT(value, prev);
+      if (cls == prev_class) {
+        ASSERT_GT(value, prev);
+      }
     }
     prev = value;
     prev_class = cls;
@@ -82,6 +89,23 @@ TEST_P(GlobalRankTableParam, DeviceBytesFormula) {
   const unsigned b = GetParam();
   const auto& table = GlobalRankTable::get(b);
   EXPECT_EQ(table.device_size_in_bytes(), (std::size_t{2} << b) + 4 * (b + 1));
+}
+
+TEST(GlobalRankTable, PairSumsMatchBinomialWidthsForEveryBlockSize) {
+  const auto& binom = BinomialTable::instance();
+  for (unsigned b = 1; b <= kMaxBlockBits; ++b) {
+    const auto& table = GlobalRankTable::get(b);
+    for (unsigned c = 0; c < 16; ++c) {
+      ASSERT_EQ(table.offset_width(c), binom.offset_width(b, c)) << "b=" << b << " c=" << c;
+    }
+    for (unsigned byte = 0; byte < 256; ++byte) {
+      const unsigned lo = byte & 15, hi = byte >> 4;
+      const std::uint64_t want =
+          (lo + hi) |
+          std::uint64_t{binom.offset_width(b, lo) + binom.offset_width(b, hi)} << 32;
+      ASSERT_EQ(table.pair_sums()[byte], want) << "b=" << b << " byte=" << byte;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, GlobalRankTableParam,
@@ -244,6 +268,148 @@ TEST(RrrVector, RanksAtExactSuperblockBoundaries) {
     ASSERT_EQ(rrr.rank1(p), bv.rank1_linear(p));
   }
 }
+
+// ------------------------------------------------ table-driven class scan
+//
+// rank1, rank1_pair and access sum class fields two per pair-table lookup,
+// zeroing the fields outside the range in the first and last class word.
+// Odd sf starts every other superblock on a high nibble; sf > 16 spans more
+// than one class word and sf > 64 more than four.
+
+struct ScanCase {
+  unsigned b;
+  unsigned sf;
+};
+
+void PrintTo(const ScanCase& c, std::ostream* os) { *os << "b=" << c.b << " sf=" << c.sf; }
+
+/// Size for `c`: three full superblocks and 5 + sf/2 more blocks (a short
+/// last superblock for sf > 3), with the class array ending mid-word and,
+/// for b > 1, a partial last block.
+std::size_t scan_size(const ScanCase& c) {
+  std::size_t blocks = std::size_t{c.sf} * 3 + c.sf / 2 + 5;
+  if (blocks % 16 == 0) ++blocks;
+  return blocks * c.b - c.b / 2;
+}
+
+/// prefix[p] = ones in bv[0, p).
+std::vector<std::size_t> prefix_ranks(const BitVector& bv) {
+  std::vector<std::size_t> prefix(bv.size() + 1, 0);
+  for (std::size_t i = 0; i < bv.size(); ++i) prefix[i + 1] = prefix[i] + bv.get(i);
+  return prefix;
+}
+
+class RrrScanTest : public ::testing::TestWithParam<ScanCase> {};
+
+TEST_P(RrrScanTest, RankAndAccessMatchOracleEverywhere) {
+  const auto& c = GetParam();
+  const std::size_t n = scan_size(c);
+  const BitVector bv = testing::random_bits(n, 0.4, n * 7 + c.sf);
+  const RrrVector rrr(bv, RrrParams{c.b, c.sf});
+  ASSERT_NE(rrr.num_blocks() % 16, 0u);
+  const auto prefix = prefix_ranks(bv);
+  for (std::size_t p = 0; p <= n; ++p) {
+    ASSERT_EQ(rrr.rank1(p), prefix[p]) << "p=" << p;
+    const auto [r1, r2] = rrr.rank1_pair(p, p);
+    ASSERT_EQ(r1, prefix[p]) << "p=" << p;
+    ASSERT_EQ(r2, prefix[p]) << "p=" << p;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(rrr.access(i), bv.get(i)) << "i=" << i;
+  }
+}
+
+TEST_P(RrrScanTest, RankPairMatchesOracleInsideSuperblocks) {
+  const auto& c = GetParam();
+  const std::size_t n = scan_size(c);
+  const BitVector bv = testing::random_bits(n, 0.6, n * 5 + c.b);
+  const RrrVector rrr(bv, RrrParams{c.b, c.sf});
+  const auto prefix = prefix_ranks(bv);
+  const std::size_t span = std::size_t{c.b} * c.sf;
+  // The first, second and short last superblock. Small superblocks get
+  // every position; large ones every block's first, second and last bit.
+  for (const std::size_t super : {std::size_t{0}, std::size_t{1}, rrr.num_superblocks() - 1}) {
+    const std::size_t begin = super * span;
+    const std::size_t end = std::min(begin + span, n + 1);
+    std::vector<std::size_t> positions;
+    for (std::size_t p = begin; p < end; ++p) {
+      const std::size_t in_block = (p - begin) % c.b;
+      if (span <= 800 || in_block <= 1 || in_block == c.b - 1) positions.push_back(p);
+    }
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      for (std::size_t j = i; j < positions.size(); ++j) {
+        const std::size_t p1 = positions[i], p2 = positions[j];
+        const auto [r1, r2] = rrr.rank1_pair(p1, p2);
+        ASSERT_EQ(r1, prefix[p1]) << "p1=" << p1 << " p2=" << p2;
+        ASSERT_EQ(r2, prefix[p2]) << "p1=" << p1 << " p2=" << p2;
+      }
+    }
+  }
+  // Pairs across superblocks take the two-rank path.
+  for (std::size_t p1 = 0; p1 <= n; p1 += span / 3 + 1) {
+    const auto [r1, r2] = rrr.rank1_pair(p1, n);
+    ASSERT_EQ(r1, prefix[p1]);
+    ASSERT_EQ(r2, prefix[n]);
+  }
+}
+
+TEST_P(RrrScanTest, AdoptedViewOverExactBufferWithPoisonedTail) {
+  const auto& c = GetParam();
+  const std::size_t n = scan_size(c);
+  const BitVector bv = testing::random_bits(n, 0.5, n + c.sf * 31);
+  const RrrVector built(bv, RrrParams{c.b, c.sf});
+  ByteWriter writer;
+  built.save_flat(writer);
+
+  // An exactly sized heap copy: reading past the archive's end trips ASan.
+  const std::size_t size = writer.size();
+  const std::unique_ptr<std::uint8_t[]> buffer(new std::uint8_t[size]);
+  std::memcpy(buffer.get(), writer.data().data(), size);
+
+  // Locate the class words (after the scalars and the IntVector header) and
+  // fill the unused nibbles of the last word with class 15, so a scan that
+  // reads one field past the last block changes the answer.
+  ByteReader header({buffer.get(), size});
+  header.u32();
+  header.u32();
+  header.u64();
+  header.u64();
+  header.u64();
+  header.u32();
+  header.align_to(64);
+  const std::size_t blocks = built.num_blocks();
+  const std::size_t class_bytes = div_ceil(blocks * 4, 64) * 8;
+  for (std::size_t field = blocks; field < class_bytes * 2; ++field) {
+    buffer[header.offset() + field / 2] |= static_cast<std::uint8_t>(0xF << (4 * (field % 2)));
+  }
+
+  ByteReader reader({buffer.get(), size});
+  const RrrVector view = RrrVector::load_flat(reader, /*adopt=*/true);
+  ASSERT_EQ(view.heap_size_in_bytes(), 3 * sizeof(std::uint32_t));
+  const auto prefix = prefix_ranks(bv);
+  for (std::size_t p = 0; p <= n; ++p) {
+    ASSERT_EQ(view.rank1(p), prefix[p]) << "p=" << p;
+    const std::size_t q = std::min(n, p + c.b + 1);
+    const auto [r1, r2] = view.rank1_pair(p, q);
+    ASSERT_EQ(r1, prefix[p]) << "p=" << p;
+    ASSERT_EQ(r2, prefix[q]) << "q=" << q;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(view.access(i), bv.get(i)) << "i=" << i;
+  }
+}
+
+std::vector<ScanCase> scan_cases() {
+  std::vector<ScanCase> cases;
+  for (const unsigned b : {1u, 5u, 15u}) {
+    for (const unsigned sf : {1u, 2u, 3u, 7u, 16u, 49u, 50u, 51u, 64u, 65u, 200u}) {
+      cases.push_back({b, sf});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Params, RrrScanTest, ::testing::ValuesIn(scan_cases()));
 
 }  // namespace
 }  // namespace bwaver
